@@ -302,8 +302,12 @@ def cmd_curate(args) -> dict:
     args._outputs = publisher.publish()
     args._inputs = inputs
     args._report_path = Path(str(out) + ".run.json")
-    return {"strategy": manifest.strategy, "selected": len(manifest.entries),
-            "excluded": manifest.excluded_count}
+    summary = {"strategy": manifest.strategy, "selected": len(manifest.entries),
+               "excluded": manifest.excluded_count}
+    if strategy != "heuristic":
+        # scores, hence the artifacts, may differ by an ulp between backends
+        summary["backend"] = kernels.backend_name()
+    return summary
 
 
 def cmd_schedule(args) -> dict:

@@ -118,28 +118,19 @@ def knn_candidate_pool(row_topk_provider: RowTopkProvider, n_sources: int,
         # Per-row lists are sorted by the same total order for every k, so
         # the top-k rows for any k <= fetch_k are their prefixes.
         k, union = _minimal_k(rows, pool_target)
-        if union is not None:
+        if len(union) >= pool_target:
             break
         if fetch_k >= n_sources:
             k = n_sources
-            union = _union_at(rows, k)
             break
         fetch_k = min(fetch_k * 4, n_sources)
     pool = sorted(union.items(), key=lambda item: (-item[1], item[0]))
     return pool, k
 
 
-def _union_at(rows: list[list[tuple[str, float]]], k: int) -> dict[str, float]:
-    best: dict[str, float] = {}
-    for row in rows:
-        for vid, score in row[:k]:
-            if vid not in best or score > best[vid]:
-                best[vid] = score
-    return best
-
-
-def _minimal_k(rows, pool_target: int):
-    """Smallest prefix depth whose id union reaches pool_target, or (depth, None)."""
+def _minimal_k(rows, pool_target: int) -> tuple[int, dict[str, float]]:
+    """Smallest prefix depth whose id union reaches pool_target, with that
+    union (id -> best score); the full depth and its union if none does."""
     best: dict[str, float] = {}
     depth = max((len(r) for r in rows), default=0)
     for k in range(1, depth + 1):
@@ -150,7 +141,7 @@ def _minimal_k(rows, pool_target: int):
                     best[vid] = score
         if len(best) >= pool_target:
             return k, best
-    return depth, None
+    return depth, best
 
 
 def curate_knn(row_topk_provider: RowTopkProvider, n_sources: int, c: int,

@@ -18,7 +18,6 @@ results are independent of tile geometry and worker count.
 from __future__ import annotations
 
 import enum
-import heapq
 import json
 import struct
 import threading
@@ -259,55 +258,75 @@ def stream_column_means(target: CorpusHandle, source: CorpusHandle,
     return source.video_ids(), means
 
 
-class _WorstId:
-    """Inverts string order so the bounded heap evicts larger ids on ties."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s: str):
-        self.s = s
-
-    def __lt__(self, other) -> bool:
-        return self.s > other.s
-
-    def __eq__(self, other) -> bool:
-        return self.s == other.s
+def _id_rank(ids: Sequence[str]) -> np.ndarray:
+    """rank[i] is the position of ids[i] in ascending id order."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
-class _TopKHeap:
-    """Bounded heap keeping the k best (score desc, source_id asc) entries.
+def _top_k(scores32: np.ndarray, cols: np.ndarray, rank: np.ndarray,
+           k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k best (score, column) entries under (score desc, id rank asc),
+    in no particular order: all entries above the k-th largest score, then
+    the entries equal to it with the smallest id ranks."""
+    n = len(scores32)
+    if n <= k:
+        return scores32, cols
+    kth = np.partition(scores32, n - k)[n - k]
+    above = np.flatnonzero(scores32 > kth)
+    tied = np.flatnonzero(scores32 == kth)
+    need = k - len(above)
+    if len(tied) > need:
+        tied = tied[np.argpartition(rank[cols[tied]], need - 1)[:need]]
+    keep = np.concatenate((above, tied))
+    return scores32[keep], cols[keep]
 
-    The kept set is a pure function of the pushed multiset, so push order
-    (hence tile geometry and thread interleaving) cannot change the result.
+
+class _RowTopK:
+    """Per-row top-k of a P x N float32 score matrix fed in column blocks.
+
+    Each row keeps its k best entries under (score desc, source id asc) as
+    a float32 score array and an intp source-index array, unordered until
+    result(). Ties go by the rank of the source id, not by column, so the
+    kept set is a function of the scores alone: block geometry and merge
+    order cannot change it. A dense matrix is the case of a single block.
     """
 
-    __slots__ = ("k", "_heap")
-
-    def __init__(self, k: int):
+    def __init__(self, rows: int, k: int, source_ids: Sequence[str]):
         self.k = k
-        self._heap: list = []
+        self.ids = source_ids
+        self.rank = _id_rank(source_ids)
+        self.scores = [np.empty(0, dtype=np.float32)] * rows
+        self.cols = [np.empty(0, dtype=np.intp)] * rows
 
-    def push(self, score: float, source_id: str) -> None:
-        item = (score, _WorstId(source_id))
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, item)
-        elif self._heap[0] < item:
-            heapq.heapreplace(self._heap, item)
+    def candidates(self, block32: np.ndarray, col0: int) -> list[tuple]:
+        """The top k of each block row: its only entries that can make the
+        row's overall top k."""
+        cols = np.arange(col0, col0 + block32.shape[1])
+        return [_top_k(row, cols, self.rank, self.k) for row in block32]
 
-    def push_row(self, scores32: np.ndarray, ids: Sequence[str]) -> None:
-        if len(self._heap) >= self.k:
-            # Only entries at or above the current worst kept score can
-            # enter ( >= : an equal score with a smaller id still wins).
-            candidates = np.nonzero(scores32 >= np.float32(self._heap[0][0]))[0]
-        else:
-            candidates = range(len(ids))
-        for i in candidates:
-            self.push(float(scores32[i]), ids[i])
+    def merge(self, r0: int, candidates: list[tuple]) -> None:
+        """Fold candidates() of rows r0, r0+1, ... into the kept entries."""
+        for j, (scores, cols) in enumerate(candidates, r0):
+            if len(self.scores[j]) == self.k:
+                # A full row admits only scores >= its worst kept score
+                # (an equal score with a smaller id still wins).
+                enter = scores >= self.scores[j].min()
+                if not enter.any():
+                    continue
+                scores, cols = scores[enter], cols[enter]
+            self.scores[j], self.cols[j] = _top_k(
+                np.concatenate((self.scores[j], scores)),
+                np.concatenate((self.cols[j], cols)), self.rank, self.k)
 
-    def result(self) -> list[tuple[str, float]]:
-        entries = [(wid.s, score) for score, wid in self._heap]
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        return entries
+    def result(self) -> list[list[tuple[str, float]]]:
+        rows = []
+        for scores, cols in zip(self.scores, self.cols):
+            order = np.lexsort((self.rank[cols], -scores))
+            rows.append([(self.ids[c], s)
+                         for c, s in zip(cols[order].tolist(), scores[order].tolist())])
+        return rows
 
 
 def stream_row_topk(target: CorpusHandle, source: CorpusHandle,
@@ -325,19 +344,19 @@ def stream_row_topk(target: CorpusHandle, source: CorpusHandle,
     p = target.video_count
     k = min(k, source.video_count)
     target_prep = _prepare_side(target.load_tile(0, p), pooling)
-    heaps = [_TopKHeap(k) for _ in range(p)]
+    reducer = _RowTopK(p, k, source.video_ids())
     lock = threading.Lock()
 
     def work(lo: int, hi: int) -> None:
         source_prep = _prepare_side(source.load_tile(lo, hi), pooling)
         for r0, r1 in _row_chunks(p, tile.tile_rows):
             block32 = _score_block(target_prep, r0, r1, source_prep, pooling).astype(np.float32)
+            candidates = reducer.candidates(block32, lo)
             with lock:
-                for j in range(r0, r1):
-                    heaps[j].push_row(block32[j - r0], source_prep.ids)
+                reducer.merge(r0, candidates)
 
     _run_source_tiles(source, tile, work)
-    return [heap.result() for heap in heaps]
+    return reducer.result()
 
 
 def column_means_from_matrix(view: SimilarityView) -> tuple[list[str], np.ndarray]:
@@ -349,24 +368,6 @@ def column_means_from_matrix(view: SimilarityView) -> tuple[list[str], np.ndarra
     for row in view.matrix:
         acc += row
     return list(view.source_ids), acc / p
-
-
-def row_topk_from_matrix(view: SimilarityView, k: int) -> list[list[tuple[str, float]]]:
-    """Per-row top-k derived from a dense view, same selection as streaming."""
-    if k < 1:
-        raise ArgumentError("k must be >= 1")
-    k = min(k, view.matrix.shape[1])
-    rows = []
-    for row in view.matrix:
-        heap = _TopKHeap(k)
-        heap.push_row(row, view.source_ids)
-        rows.append(heap.result())
-    return rows
-
-
-def matrix_topk_provider(view: SimilarityView) -> Callable[[int], list[list[tuple[str, float]]]]:
-    """Adapter making a dense view usable as a curate_knn row-top-k provider."""
-    return lambda k: row_topk_from_matrix(view, k)
 
 
 def streaming_topk_provider(target: CorpusHandle, source: CorpusHandle,

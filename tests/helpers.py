@@ -42,3 +42,16 @@ def naive_matrix(target, source, pooling):
 def sort_by_score_then_id(ids, scores):
     """Descending score with ascending-id tie break; returns index order."""
     return sorted(range(len(ids)), key=lambda i: (-float(scores[i]), ids[i]))
+
+
+def row_topk_from_matrix(view, k):
+    """Per-row top-k of a dense view by a full sort of each row."""
+    k = min(k, view.matrix.shape[1])
+    return [[(view.source_ids[i], float(row[i]))
+             for i in sort_by_score_then_id(view.source_ids, row)[:k]]
+            for row in view.matrix]
+
+
+def matrix_topk_provider(view):
+    """Adapter making a dense view usable as a curate_knn row-top-k provider."""
+    return lambda k: row_topk_from_matrix(view, k)

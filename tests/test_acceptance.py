@@ -41,13 +41,14 @@ from cupid.curation import (
     write_schedule,
 )
 from cupid.nce import gradient_check
-from cupid.similarity import (
-    column_means_from_matrix,
-    row_topk_from_matrix,
-    streaming_topk_provider,
-)
+from cupid.similarity import column_means_from_matrix, streaming_topk_provider
 
-from helpers import random_corpus, random_videos, sort_by_score_then_id
+from helpers import (
+    random_corpus,
+    random_videos,
+    row_topk_from_matrix,
+    sort_by_score_then_id,
+)
 
 
 def _oracle_avg_sim_ids(view, c):

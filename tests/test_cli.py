@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import cupid.kernels as kernels
 from cupid.cli import main
 from cupid.curation import read_curation_manifest, read_schedule
 from cupid.similarity import load_matrix, read_column_means
@@ -322,6 +323,13 @@ class TestDeterminism:
         assert str(out) in report["outputs"]
         assert len(report["inputs"]) == 2
         assert "total_s" in report["timings"]
+        assert report["summary"]["backend"] == kernels.backend_name()
+        knn_out = tmp_path / "knn.jsonl"
+        assert main(["curate", "--strategy", "knn", "--capacity", "3", "--seed", "1",
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(knn_out)]) == 0
+        knn_report = json.loads((tmp_path / "knn.jsonl.run.json").read_text())
+        assert knn_report["summary"]["backend"] == kernels.backend_name()
 
 
 class TestUsageErrors:

@@ -25,9 +25,9 @@ from cupid.curation import (
     write_curation_manifest,
     write_schedule,
 )
-from cupid.similarity import SimilarityView, matrix_topk_provider
+from cupid.similarity import SimilarityView
 
-from helpers import sort_by_score_then_id
+from helpers import matrix_topk_provider, sort_by_score_then_id
 
 
 class TestAvgSim:

@@ -1,5 +1,6 @@
 """Pair scoring, dense kernel builds, and streaming reducers."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,13 +23,20 @@ from cupid import (
 from cupid.similarity import (
     column_means_from_matrix,
     load_matrix,
+    _RowTopK,
     read_column_means,
-    row_topk_from_matrix,
     save_matrix,
     write_column_means,
 )
 
-from helpers import naive_matrix, naive_pair_score, random_corpus, random_videos
+from helpers import (
+    naive_matrix,
+    naive_pair_score,
+    random_corpus,
+    random_videos,
+    row_topk_from_matrix,
+    sort_by_score_then_id,
+)
 
 BACKENDS = sorted(kernels.available_backends())
 POOLINGS = [PoolingMode.MEAN, PoolingMode.MAX]
@@ -232,6 +240,64 @@ class TestRowTopk:
         source = random_corpus(rng, "s", "source", 3, 2, 4)
         rows = stream_row_topk(target, source, PoolingMode.MEAN, 50)
         assert all(len(row) == 3 for row in rows)
+
+
+def _quantized_videos(rng, ids, dim):
+    """One or two clips per video drawn from {-1, 0, 1}, so scores tie often."""
+    return [ClipMatrix(vid, rng.integers(-1, 2, size=(int(rng.integers(1, 3)), dim))
+                       .astype(np.float32)) for vid in ids]
+
+
+def _reducer_topk(view, k):
+    """The streaming reducer fed the whole dense matrix as one block."""
+    reducer = _RowTopK(len(view.target_ids), min(k, len(view.source_ids)), view.source_ids)
+    reducer.merge(0, reducer.candidates(view.matrix, 0))
+    return reducer.result()
+
+
+class TestTopkTieOrder:
+    """Ties must go to the smaller source id, wherever that id is stored."""
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_ties_break_by_id_not_column(self, rng, pooling):
+        n = 40
+        source_ids = [f"s{i:02d}" for i in rng.permutation(n)]
+        assert source_ids != sorted(source_ids)
+        target = CorpusHandle.from_arrays(
+            "t", "target", _quantized_videos(rng, [f"t{j}" for j in range(5)], 3))
+        source = CorpusHandle.from_arrays("s", "source", _quantized_videos(rng, source_ids, 3))
+        dense = build_similarity_matrix(target, source, pooling)
+        ks = (1, 2, 3, 5, 8, 13, 21, n)
+        # Some k must cut through a group of equal scores, or ties go untested.
+        ordered = [np.sort(row)[::-1] for row in dense.matrix]
+        assert any(row[k - 1] == row[k] for row in ordered for k in ks if k < n)
+        for k in ks:
+            want = [[(dense.source_ids[i], float(row[i]))
+                     for i in sort_by_score_then_id(dense.source_ids, row)[:k]]
+                    for row in dense.matrix]
+            assert _reducer_topk(dense, k) == want
+            for tile_cols in (1, 3, 7, n):
+                for threads in (1, 4):
+                    tile = TileConfig(tile_cols=tile_cols, tile_rows=2, threads=threads)
+                    assert stream_row_topk(target, source, pooling, k, tile) == want, \
+                        (k, tile_cols, threads)
+
+    def test_concurrent_merges_lose_nothing(self, rng):
+        # More workers than cores and frequent thread switches: a merge that
+        # raced with another would drop or duplicate kept entries.
+        source_ids = [f"s{i:03d}" for i in rng.permutation(300)]
+        target = CorpusHandle.from_arrays(
+            "t", "target", _quantized_videos(rng, [f"t{j}" for j in range(6)], 4))
+        source = CorpusHandle.from_arrays("s", "source", _quantized_videos(rng, source_ids, 4))
+        want = row_topk_from_matrix(build_similarity_matrix(target, source), 17)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = stream_row_topk(target, source, PoolingMode.MEAN, 17,
+                                  TileConfig(tile_cols=1, threads=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 def _scaled_corpus(source, factor):
