@@ -45,7 +45,6 @@ from .store import (
     VideoMeta,
     build_corpus,
     ingest_shard,
-    load_video,
     make_uniform_windows,
     merge_consecutive_subtitles,
     write_shard,
@@ -83,7 +82,6 @@ __all__ = [
     "curate_knn",
     "exclude_overlap",
     "ingest_shard",
-    "load_video",
     "make_uniform_windows",
     "merge_consecutive_subtitles",
     "nce_loss",

@@ -173,30 +173,28 @@ def cmd_ingest(args) -> dict:
                     f"video {v.video_id!r} has dim {v.dim}, expected {args.expected_dim}"
                 )
     corpus_id = args.corpus_id or out_dir.name
-    if not out_dir.parent.is_dir():
-        raise UsageError(f"output directory {out_dir.parent} does not exist")
-    staging = Path(tempfile.mkdtemp(dir=out_dir.parent,
-                                    prefix=f".{out_dir.name}-ingest-"))
+    manifest_name = f"{corpus_id}.manifest.jsonl"
+    publisher = _Publisher(out_dir.parent)
     try:
-        handle = store.build_corpus(videos, staging, corpus_id, role=args.role,
+        handle = store.build_corpus(videos, publisher.dir, corpus_id, role=args.role,
                                     videos_per_shard=args.videos_per_shard)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for child in sorted(staging.iterdir()):
-            os.replace(child, out_dir / child.name)
-    finally:
-        if staging.exists():
-            for child in staging.iterdir():
-                child.unlink()
-            staging.rmdir()
+        # shards before the manifest, so a visible manifest implies its shards
+        for shard in sorted({e.shard for e in handle.manifest}):
+            publisher.stage(shard, out_dir / shard)
+        publisher.stage(manifest_name, out_dir / manifest_name)
+        out_dir.mkdir(exist_ok=True)
+    except BaseException:
+        publisher.abort()
+        raise
+    args._outputs = publisher.publish()
     args._inputs = [input_path]
-    args._outputs = sorted(out_dir.iterdir())
     args._report_path = out_dir / "run-report.json"
     return {
         "corpus_id": corpus_id,
         "videos": handle.video_count,
         "clips": int(sum(e.clip_count for e in handle.manifest)),
         "dim": handle.dim,
-        "manifest": str(out_dir / f"{corpus_id}.manifest.jsonl"),
+        "manifest": str(out_dir / manifest_name),
     }
 
 
@@ -305,7 +303,7 @@ def cmd_curate(args) -> dict:
     summary = {"strategy": manifest.strategy, "selected": len(manifest.entries),
                "excluded": manifest.excluded_count}
     if strategy != "heuristic":
-        # scores, hence the artifacts, may differ by an ulp between backends
+        # only the score-based strategies run the kernels
         summary["backend"] = kernels.backend_name()
     return summary
 

@@ -137,13 +137,12 @@ def _prepare_side(tile, pooling: PoolingMode) -> _SidePrep:
 
 def _score_block(target_prep: _SidePrep, r0: int, r1: int,
                  source_prep: _SidePrep, pooling: PoolingMode) -> np.ndarray:
-    backend = kernels.active()
     if pooling is PoolingMode.MEAN:
         t_sums, t_counts = target_prep.row_args(r0, r1)
-        return backend.mean_score_block(t_sums, t_counts,
+        return kernels.mean_score_block(t_sums, t_counts,
                                         source_prep.sums, source_prep.counts)
     t_clips, t_offsets = target_prep.row_args(r0, r1)
-    return backend.max_score_block(t_clips, t_offsets,
+    return kernels.max_score_block(t_clips, t_offsets,
                                    source_prep.clips, source_prep.offsets)
 
 
@@ -185,16 +184,15 @@ def pair_similarity(target: ClipMatrix, source: ClipMatrix,
     """
     if target.dim != source.dim:
         raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
-    backend = kernels.active()
     if pooling is PoolingMode.MEAN:
-        block = backend.mean_score_block(
+        block = kernels.mean_score_block(
             _clip_sums(target.values)[None, :],
             np.array([target.clip_count], dtype=np.intp),
             _clip_sums(source.values)[None, :],
             np.array([source.clip_count], dtype=np.intp),
         )
     else:
-        block = backend.max_score_block(
+        block = kernels.max_score_block(
             target.values.astype(np.float64),
             np.array([0, target.clip_count], dtype=np.intp),
             source.values.astype(np.float64),
@@ -235,8 +233,9 @@ def stream_column_means(target: CorpusHandle, source: CorpusHandle,
     materializing the matrix.
 
     Returns (source_ids, float64 vector); entry i is the float64 sum of the
-    float32 scores of column i in target index order, divided by P. Equals
-    column_means_from_matrix of the dense path bit-for-bit.
+    float32 scores of column i in target index order, divided by P, so it
+    equals that reduction over the build_similarity_matrix matrix
+    bit-for-bit.
     """
     _check_dims(target, source)
     p = target.video_count
@@ -357,17 +356,6 @@ def stream_row_topk(target: CorpusHandle, source: CorpusHandle,
 
     _run_source_tiles(source, tile, work)
     return reducer.result()
-
-
-def column_means_from_matrix(view: SimilarityView) -> tuple[list[str], np.ndarray]:
-    """Column means derived from a dense view, same reduction order as streaming."""
-    p = view.matrix.shape[0]
-    if p == 0:
-        raise ArgumentError("matrix has no target rows")
-    acc = np.zeros(view.matrix.shape[1], dtype=np.float64)
-    for row in view.matrix:
-        acc += row
-    return list(view.source_ids), acc / p
 
 
 def streaming_topk_provider(target: CorpusHandle, source: CorpusHandle,

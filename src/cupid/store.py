@@ -317,10 +317,6 @@ class CorpusHandle:
         return cls(corpus_id or manifest_path.stem, role, entries, dim, buffers)
 
 
-def load_video(corpus: CorpusHandle, video_id: str) -> ClipMatrix:
-    return corpus.load_video(video_id)
-
-
 def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: str,
                  role: str = "source", videos_per_shard: int = 4096) -> CorpusHandle:
     """Write shards plus manifest under out_dir and return an open handle."""

@@ -5,7 +5,7 @@ in float64) so they stay independent of the kernel implementations.
 """
 import numpy as np
 
-from cupid import ClipMatrix, CorpusHandle, PoolingMode
+from cupid import ArgumentError, ClipMatrix, CorpusHandle, PoolingMode, SimilarityView
 
 
 def random_videos(rng, prefix, n, max_clips, dim):
@@ -55,3 +55,14 @@ def row_topk_from_matrix(view, k):
 def matrix_topk_provider(view):
     """Adapter making a dense view usable as a curate_knn row-top-k provider."""
     return lambda k: row_topk_from_matrix(view, k)
+
+
+def column_means_from_matrix(view: SimilarityView) -> tuple[list[str], np.ndarray]:
+    """Column means derived from a dense view, same reduction order as streaming."""
+    p = view.matrix.shape[0]
+    if p == 0:
+        raise ArgumentError("matrix has no target rows")
+    acc = np.zeros(view.matrix.shape[1], dtype=np.float64)
+    for row in view.matrix:
+        acc += row
+    return list(view.source_ids), acc / p

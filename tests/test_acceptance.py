@@ -41,9 +41,10 @@ from cupid.curation import (
     write_schedule,
 )
 from cupid.nce import gradient_check
-from cupid.similarity import column_means_from_matrix, streaming_topk_provider
+from cupid.similarity import streaming_topk_provider
 
 from helpers import (
+    column_means_from_matrix,
     random_corpus,
     random_videos,
     row_topk_from_matrix,

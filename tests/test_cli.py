@@ -67,6 +67,18 @@ class TestIngest:
         (out / "junk").write_text("x")
         assert main(["ingest", "--input", str(d), "--out", str(out)]) == 2
 
+    def test_failed_build_leaves_nothing_behind(self, tmp_path, rng):
+        # The second shard's dim differs from the first: the build fails
+        # after one shard is already written to the staging directory.
+        d = tmp_path / "npys"
+        d.mkdir()
+        np.save(d / "a.npy", rng.normal(size=(2, 4)).astype(np.float32))
+        np.save(d / "b.npy", rng.normal(size=(2, 5)).astype(np.float32))
+        out = tmp_path / "c"
+        assert main(["ingest", "--input", str(d), "--out", str(out),
+                     "--videos-per-shard", "1"]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["npys"]
+
 
 class TestSimilarity:
     def test_matrix_dump(self, corpora, tmp_path):

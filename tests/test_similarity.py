@@ -21,7 +21,6 @@ from cupid import (
     stream_row_topk,
 )
 from cupid.similarity import (
-    column_means_from_matrix,
     load_matrix,
     _RowTopK,
     read_column_means,
@@ -30,6 +29,7 @@ from cupid.similarity import (
 )
 
 from helpers import (
+    column_means_from_matrix,
     naive_matrix,
     naive_pair_score,
     random_corpus,
@@ -38,7 +38,6 @@ from helpers import (
     sort_by_score_then_id,
 )
 
-BACKENDS = sorted(kernels.available_backends())
 POOLINGS = [PoolingMode.MEAN, PoolingMode.MAX]
 
 
@@ -80,16 +79,63 @@ class TestPairSimilarity:
             a, b = random_videos(rng, "x", 2, 5, 7)
             assert pair_similarity(a, b) == pair_similarity(b, a)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mean_never_exceeds_max_beyond_rounding(self, rng, backend):
+    def test_mean_never_exceeds_max_beyond_rounding(self, rng):
         # The grand mean can land one ulp above the max when all pair dots
         # are equal, so allow that much.
-        with kernels.use_backend(backend):
-            for _ in range(100):
-                a, b = random_videos(rng, "x", 2, 5, 7)
-                mean = pair_similarity(a, b, PoolingMode.MEAN)
-                best = pair_similarity(a, b, PoolingMode.MAX)
-                assert mean <= best or math.isclose(mean, best, rel_tol=1e-12)
+        for _ in range(100):
+            a, b = random_videos(rng, "x", 2, 5, 7)
+            mean = pair_similarity(a, b, PoolingMode.MEAN)
+            best = pair_similarity(a, b, PoolingMode.MAX)
+            assert mean <= best or math.isclose(mean, best, rel_tol=1e-12)
+
+
+def _stacked(videos):
+    """Kernel arguments for a tile: float64 clip rows and intp offsets."""
+    clips = np.concatenate([v.values for v in videos]).astype(np.float64)
+    offsets = np.cumsum([0] + [v.clip_count for v in videos]).astype(np.intp)
+    return clips, offsets
+
+
+class TestKernels:
+    def test_max_grid_chunking_and_grouping_keep_pair_scores(self, rng, monkeypatch):
+        # Clip counts 1-9 mixed on both sides: one group per count, and a
+        # one-video chunk when the grid budget is forced below one grid.
+        def videos(prefix, n):
+            return [ClipMatrix(f"{prefix}{i}", rng.normal(size=(c, 6)).astype(np.float32))
+                    for i, c in enumerate(rng.permutation(np.arange(n) % 9 + 1))]
+
+        t_clips, t_offsets = _stacked(videos("t", 14))
+        s_clips, s_offsets = _stacked(videos("s", 40))
+        whole = kernels.max_score_block(t_clips, t_offsets, s_clips, s_offsets)
+        monkeypatch.setattr(kernels, "_GRID_BYTES", 1)
+        chunked = kernels.max_score_block(t_clips, t_offsets, s_clips, s_offsets)
+        assert (chunked == whole).all()
+        for j in range(len(t_offsets) - 1):
+            tj = t_clips[t_offsets[j]:t_offsets[j + 1]]
+            for i in range(len(s_offsets) - 1):
+                si = s_clips[s_offsets[i]:s_offsets[i + 1]]
+                pair = kernels.max_score_block(tj, np.array([0, len(tj)], dtype=np.intp),
+                                               si, np.array([0, len(si)], dtype=np.intp))
+                assert pair[0, 0] == whole[j, i]
+                assert math.isclose(whole[j, i], (tj @ si.T).max(), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("pooling, name", [(PoolingMode.MEAN, "mean_score_block"),
+                                               (PoolingMode.MAX, "max_score_block")])
+    def test_patched_kernel_is_the_one_called(self, rng, monkeypatch, pooling, name):
+        # Tracing wraps the kernels by assigning to the module's attributes,
+        # so the scoring code must look them up at call time.
+        target = random_corpus(rng, "t", "target", 2, 3, 4)
+        source = random_corpus(rng, "s", "source", 5, 3, 4)
+        original = getattr(kernels, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels.active(), name, counted)
+        build_similarity_matrix(target, source, pooling)
+        assert calls
 
 
 class TestDenseMatrix:
@@ -118,20 +164,18 @@ class TestDenseMatrix:
                                         source.load_video(sid), pooling)
                 assert view.matrix[j, i] == np.float32(score)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("pooling", POOLINGS)
-    def test_tiling_and_threads_do_not_change_bits(self, rng, backend, pooling):
+    def test_tiling_and_threads_do_not_change_bits(self, rng, pooling):
         target = random_corpus(rng, "t", "target", 5, 3, 6)
         source = random_corpus(rng, "s", "source", 37, 3, 6)
-        with kernels.use_backend(backend):
-            baseline = build_similarity_matrix(
-                target, source, pooling, TileConfig(tile_cols=37)).matrix
-            for tile in (TileConfig(tile_cols=1),
-                         TileConfig(tile_cols=7, threads=4),
-                         TileConfig(tile_cols=5, tile_rows=2, threads=8),
-                         TileConfig(tile_cols=37, tile_rows=1)):
-                got = build_similarity_matrix(target, source, pooling, tile).matrix
-                assert (got == baseline).all()
+        baseline = build_similarity_matrix(
+            target, source, pooling, TileConfig(tile_cols=37)).matrix
+        for tile in (TileConfig(tile_cols=1),
+                     TileConfig(tile_cols=7, threads=4),
+                     TileConfig(tile_cols=5, tile_rows=2, threads=8),
+                     TileConfig(tile_cols=37, tile_rows=1)):
+            got = build_similarity_matrix(target, source, pooling, tile).matrix
+            assert (got == baseline).all()
 
     def test_memory_budget_capacity_error(self, rng):
         target = random_corpus(rng, "t", "target", 4, 2, 4)
@@ -158,18 +202,16 @@ class TestColumnMeans:
         assert ids == ["s0", "s1"]
         assert means.tolist() == [0.5, 0.5]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("pooling", POOLINGS)
-    def test_equals_dense_derivation_bitwise(self, rng, backend, pooling):
+    def test_equals_dense_derivation_bitwise(self, rng, pooling):
         target = random_corpus(rng, "t", "target", 6, 4, 5)
         source = random_corpus(rng, "s", "source", 41, 4, 5)
-        with kernels.use_backend(backend):
-            dense = build_similarity_matrix(target, source, pooling)
-            _, want = column_means_from_matrix(dense)
-            for tile in (TileConfig(tile_cols=1), TileConfig(tile_cols=7, threads=4),
-                         TileConfig(tile_cols=41, tile_rows=2, threads=8)):
-                _, got = stream_column_means(target, source, pooling, tile)
-                assert (got == want).all()
+        dense = build_similarity_matrix(target, source, pooling)
+        _, want = column_means_from_matrix(dense)
+        for tile in (TileConfig(tile_cols=1), TileConfig(tile_cols=7, threads=4),
+                     TileConfig(tile_cols=41, tile_rows=2, threads=8)):
+            _, got = stream_column_means(target, source, pooling, tile)
+            assert (got == want).all()
 
     def test_single_target_row(self, rng):
         target = random_corpus(rng, "t", "target", 1, 3, 4)
@@ -215,19 +257,17 @@ class TestRowTopk:
         rows = stream_row_topk(target, source, PoolingMode.MEAN, 1)
         assert rows[0][0][0] == "s-a"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("pooling", POOLINGS)
-    def test_equals_dense_derivation(self, rng, backend, pooling):
+    def test_equals_dense_derivation(self, rng, pooling):
         target = random_corpus(rng, "t", "target", 5, 3, 6)
         source = random_corpus(rng, "s", "source", 29, 3, 6)
-        with kernels.use_backend(backend):
-            dense = build_similarity_matrix(target, source, pooling)
-            for k in (1, 3, 29):
-                want = row_topk_from_matrix(dense, k)
-                for tile in (TileConfig(tile_cols=4, threads=4),
-                             TileConfig(tile_cols=29),
-                             TileConfig(tile_cols=1, tile_rows=2)):
-                    assert stream_row_topk(target, source, pooling, k, tile) == want
+        dense = build_similarity_matrix(target, source, pooling)
+        for k in (1, 3, 29):
+            want = row_topk_from_matrix(dense, k)
+            for tile in (TileConfig(tile_cols=4, threads=4),
+                         TileConfig(tile_cols=29),
+                         TileConfig(tile_cols=1, tile_rows=2)):
+                assert stream_row_topk(target, source, pooling, k, tile) == want
 
     def test_k_below_one_rejected(self, rng):
         target = random_corpus(rng, "t", "target", 2, 2, 4)

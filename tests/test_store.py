@@ -19,7 +19,6 @@ from cupid import (
     VideoMeta,
     build_corpus,
     ingest_shard,
-    load_video,
     make_uniform_windows,
     merge_consecutive_subtitles,
     write_shard,
@@ -142,7 +141,7 @@ class TestClipMatrix:
 class TestCorpusHandle:
     def test_load_video_and_not_found(self, rng):
         handle = CorpusHandle.from_arrays("c", "source", random_videos(rng, "v", 5, 3, 4))
-        video = load_video(handle, "v00002")
+        video = handle.load_video("v00002")
         assert video.video_id == "v00002"
         with pytest.raises(NotFoundError):
             handle.load_video("zz")
