@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, DataError, FormatError
-from .similarity import PoolingMode
+from .similarity import PoolingMode, _id_rank
 from .store import VideoMeta
 
 STRATEGIES = ("avg_sim", "knn", "heuristic")
@@ -92,9 +92,10 @@ def curate_avg_sim(source_ids: Sequence[str], means: np.ndarray, c: int,
         raise ArgumentError("capacity must be >= 1")
     if c > n:
         raise CapacityError(f"capacity {c} exceeds source count {n}")
-    order = sorted(range(n), key=lambda i: (-float(means[i]), source_ids[i]))
+    means = np.asarray(means)
+    order = np.lexsort((_id_rank(source_ids), -means))[:c]
     entries = [CurationEntry(rank, source_ids[i], float(means[i]))
-               for rank, i in enumerate(order[:c], 1)]
+               for rank, i in enumerate(order.tolist(), 1)]
     echo = config.as_dict() if config else {"capacity_c": c, "strategy": "avg_sim"}
     return CurationManifest("avg_sim", entries, echo)
 

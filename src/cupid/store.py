@@ -230,7 +230,8 @@ class CorpusHandle:
         self.role = role
         self.manifest = manifest
         self.dim = dim
-        self._buffers = buffers
+        self._buffers = {name: memoryview(buf) for name, buf in buffers.items()}
+        self._shard_bytes = sum(len(buf) for buf in self._buffers.values())
         self._index = {e.video_id: e for e in manifest}
 
     @property
@@ -264,16 +265,62 @@ class CorpusHandle:
         return video
 
     def load_tile(self, start: int, stop: int) -> _Tile:
-        """Decode manifest rows [start, stop) into stacked clip arrays."""
+        """Decode manifest rows [start, stop) into stacked clip arrays.
+
+        Each record's header bytes are compared with the header its manifest
+        row implies (id and clip count) and its values are copied as raw
+        bytes; finiteness is checked once for the whole tile. If any check
+        fails, the rows are re-read one by one through _load_entry, so the
+        error raised is the one load_video raises for the first bad row.
+        """
         entries = self.manifest[start:stop]
-        ids = [e.video_id for e in entries]
-        counts = np.array([e.clip_count for e in entries], dtype=np.intp)
+        clip_counts = [e.clip_count for e in entries]
+        clips = self._copy_records(entries, clip_counts)
+        if clips is None:
+            clips = np.concatenate([self._load_entry(e).values for e in entries])
+        counts = np.array(clip_counts, dtype=np.intp)
         offsets = np.zeros(len(entries) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
-        clips = np.empty((int(offsets[-1]), self.dim), dtype=np.float32)
-        for i, entry in enumerate(entries):
-            clips[offsets[i]:offsets[i + 1]] = self._load_entry(entry).values
-        return _Tile(ids=ids, counts=counts, offsets=offsets, clips=clips)
+        return _Tile(ids=[e.video_id for e in entries], counts=counts,
+                     offsets=offsets, clips=clips)
+
+    def _copy_records(self, entries: Sequence[ManifestEntry],
+                      clip_counts: list[int]) -> np.ndarray | None:
+        """The stacked float32 values of entries, or None unless every
+        record passes the checks _load_entry makes on it.
+
+        The clip counts are bounded by the shard bytes before anything is
+        allocated, so a corrupt count cannot size the array.
+        """
+        if not entries:
+            return np.empty((0, self.dim), dtype=np.float32)
+        total = sum(clip_counts)
+        row_bytes = self.dim * 4
+        if self.dim < 1 or min(clip_counts) < 1 or total * row_bytes > self._shard_bytes:
+            return None
+        clips = np.empty((total, self.dim), dtype="<f4")
+        out = memoryview(clips).cast("B")
+        pos = 0
+        try:
+            for entry in entries:
+                buf = self._buffers.get(entry.shard)
+                id_bytes = entry.video_id.encode("utf-8")
+                values = entry.offset + _ID_LEN.size + len(id_bytes) + _CLIP_COUNT.size
+                end = values + entry.clip_count * row_bytes
+                # A negative offset would index from the end of the shard.
+                if buf is None or entry.offset < 0 or end > len(buf):
+                    return None
+                header = (_ID_LEN.pack(len(id_bytes)) + id_bytes
+                          + _CLIP_COUNT.pack(entry.clip_count))
+                if buf[entry.offset:values] != header:
+                    return None
+                out[pos:pos + end - values] = buf[values:end]
+                pos += end - values
+        except (struct.error, UnicodeEncodeError):
+            return None
+        if not np.isfinite(clips).all():
+            return None
+        return clips.astype(np.float32, copy=False)
 
     def iter_videos(self) -> Iterator[ClipMatrix]:
         for entry in self.manifest:
@@ -353,7 +400,13 @@ def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: s
     return CorpusHandle.open(manifest_path, role, corpus_id=corpus_id)
 
 
+# The scanner json.loads runs, called without its per-call wrapper.
+_scan_json = json.JSONDecoder().scan_once
+
+
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
+    """Read a JSON-lines manifest; blank lines are skipped and every other
+    line must hold exactly one entry object."""
     entries = []
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
@@ -361,10 +414,12 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = _scan_json(line, 0)
+                if end != len(line):
+                    raise ValueError("extra data after the entry")
                 entries.append(ManifestEntry(obj["video_id"], obj["shard"],
                                              int(obj["offset"]), int(obj["clip_count"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (StopIteration, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{line_no}: bad manifest line") from exc
     return entries
 

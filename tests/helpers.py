@@ -3,9 +3,12 @@
 The oracles deliberately take the slow path (explicit pairwise dot products
 in float64) so they stay independent of the kernel implementations.
 """
+import json
+
 import numpy as np
 
 from cupid import ArgumentError, ClipMatrix, CorpusHandle, PoolingMode, SimilarityView
+from cupid.store import ManifestEntry
 
 
 def random_videos(rng, prefix, n, max_clips, dim):
@@ -66,3 +69,16 @@ def column_means_from_matrix(view: SimilarityView) -> tuple[list[str], np.ndarra
     for row in view.matrix:
         acc += row
     return list(view.source_ids), acc / p
+
+
+def read_manifest_lines(path):
+    """Manifest entries parsed with one json.loads per non-blank line."""
+    entries = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line:
+                obj = json.loads(line)
+                entries.append(ManifestEntry(obj["video_id"], obj["shard"],
+                                             int(obj["offset"]), int(obj["clip_count"])))
+    return entries

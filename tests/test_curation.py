@@ -57,13 +57,21 @@ class TestAvgSim:
         assert scores == sorted(scores, reverse=True)
 
     def test_matches_brute_force_sort(self, rng):
-        for _ in range(20):
+        for trial in range(90):
             n = int(rng.integers(1, 60))
             c = int(rng.integers(1, n + 1))
-            ids = [f"v{i:03d}" for i in range(n)]
-            means = rng.normal(size=n)
-            want = [ids[i] for i in sort_by_score_then_id(ids, means)[:c]]
-            assert curate_avg_sim(ids, means, c).video_ids() == want
+            if trial % 3 == 0:
+                ids = [f"v{i:03d}" for i in range(n)]
+            else:  # shuffled, and "v10" sorts before "v9"
+                ids = [f"v{i}" for i in rng.permutation(3 * n)[:n]]
+            if trial % 2 == 0:
+                means = rng.normal(size=n)
+            else:  # tie groups, with 0.0 and -0.0 tying
+                means = rng.choice([0.0, -0.0, 0.5, -0.25], size=n)
+            order = sort_by_score_then_id(ids, means)[:c]
+            manifest = curate_avg_sim(ids, means, c)
+            assert manifest.video_ids() == [ids[i] for i in order]
+            assert [e.score for e in manifest.entries] == [float(means[i]) for i in order]
 
     def test_nested_in_capacity(self, rng):
         ids = [f"v{i:03d}" for i in range(40)]

@@ -1,6 +1,7 @@
 """Shard format, corpus access, and clip-boundary utilities."""
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cupid import (
     ArgumentError,
     ClipMatrix,
     CorpusHandle,
+    CupidError,
     DataError,
     FormatError,
     NotFoundError,
@@ -23,6 +25,7 @@ from cupid import (
     merge_consecutive_subtitles,
     write_shard,
 )
+from cupid import store
 from cupid.store import (
     ManifestEntry,
     read_manifest,
@@ -33,7 +36,7 @@ from cupid.store import (
     write_subtitles,
 )
 
-from helpers import random_videos
+from helpers import random_videos, read_manifest_lines
 
 
 def _reload(videos, expected_dim):
@@ -166,14 +169,104 @@ class TestCorpusHandle:
         for v in videos:
             assert (reopened.load_video(v.video_id).values == v.values).all()
 
-    def test_load_tile_stacks_in_manifest_order(self, rng):
+    def test_load_tile_stacks_in_manifest_order(self, rng, tmp_path, monkeypatch):
         videos = random_videos(rng, "v", 6, 3, 4)
-        handle = CorpusHandle.from_arrays("c", "source", videos)
-        tile = handle.load_tile(2, 5)
-        assert tile.ids == [v.video_id for v in videos[2:5]]
-        assert tile.offsets[-1] == sum(v.clip_count for v in videos[2:5])
-        stacked = np.concatenate([v.values for v in videos[2:5]])
-        assert (tile.clips == stacked).all()
+        handles = [CorpusHandle.from_arrays("c", "source", videos),
+                   build_corpus(videos, tmp_path, "corp", videos_per_shard=3)]
+
+        def no_decode(*args):
+            raise AssertionError("clean records must not be decoded one by one")
+
+        monkeypatch.setattr(store, "_decode_video", no_decode)
+        for handle in handles:
+            tile = handle.load_tile(2, 5)  # rows 2..4 span both shards of corp
+            assert tile.ids == [v.video_id for v in videos[2:5]]
+            assert tile.offsets[-1] == sum(v.clip_count for v in videos[2:5])
+            stacked = np.concatenate([v.values for v in videos[2:5]])
+            assert tile.clips.dtype == np.float32
+            assert (tile.clips == stacked).all()
+            empty = handle.load_tile(4, 4)
+            assert empty.ids == [] and empty.clips.shape == (0, 4)
+        no_dim = CorpusHandle.from_arrays("e", "source", [])
+        assert no_dim.load_tile(0, 0).clips.shape == (0, 0)
+
+    @pytest.mark.parametrize("field,bad", [
+        # Counted from the end of the shard, these offsets name the right
+        # records; they must be rejected all the same.
+        ("offset", lambda e, size: e.offset - size),
+        ("clip_count", lambda e, size: 2**64),
+        ("clip_count", lambda e, size: 2**63),
+        ("clip_count", lambda e, size: -1),
+    ], ids=["offset-minus-shard-size", "count-2**64", "count-2**63", "count-minus-1"])
+    def test_out_of_range_rows_fail_as_load_video_does(self, rng, field, bad):
+        data = write_shard(random_videos(rng, "v", 3, 3, 4))
+        rows = [replace(e, **{field: bad(e, len(data))}) for e in ingest_shard(data, 4)]
+        handle = CorpusHandle("c", "source", rows, 4, {"": data})
+        with pytest.raises(FormatError) as want:
+            handle.load_video(rows[0].video_id)
+        for stop in (2, 3):
+            with pytest.raises(FormatError) as got:
+                handle.load_tile(0, stop)
+            assert str(got.value) == str(want.value)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tile_matches_load_video_under_corruption(self, data):
+        """A tile holds exactly the bytes load_video gives for its rows, or
+        raises what load_video raises for the first of them that fails."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        videos = random_videos(np.random.default_rng(seed), "v", 7, 3, 3)
+        shards = {"a.shard": bytearray(write_shard(videos[:4])),
+                  "b.shard": bytearray(write_shard(videos[4:]))}
+        entries = [e for name, buf in shards.items()
+                   for e in ingest_shard(bytes(buf), 3, shard_name=name)]
+        kind = data.draw(st.sampled_from(
+            ["none", "flip", "truncate", "nan", "shift", "count", "id", "shard"]))
+        if kind == "flip":
+            buf = shards[data.draw(st.sampled_from(sorted(shards)))]
+            pos = data.draw(st.integers(0, len(buf) - 1))
+            buf[pos] ^= data.draw(st.integers(1, 255))
+        elif kind == "truncate":
+            buf = shards[data.draw(st.sampled_from(sorted(shards)))]
+            del buf[data.draw(st.integers(0, len(buf) - 1)):]
+        elif kind == "nan":
+            e = data.draw(st.sampled_from(entries))
+            pos = (e.offset + 2 + len(e.video_id) + 4
+                   + 4 * data.draw(st.integers(0, 3 * e.clip_count - 1)))
+            shards[e.shard][pos:pos + 4] = struct.pack("<f", float("nan"))
+        elif kind != "none":
+            i = data.draw(st.integers(0, len(entries) - 1))
+            e = entries[i]
+            if kind == "shift":
+                e = replace(e, offset=e.offset + data.draw(st.sampled_from([-1, 1])))
+            elif kind == "count":
+                e = replace(e, clip_count=data.draw(
+                    (st.sampled_from([-1, 0, 2**32, 2**64]) | st.integers(1, 9))
+                    .filter(lambda c: c != e.clip_count)))
+            elif kind == "id":
+                e = replace(e, video_id=e.video_id + data.draw(
+                    st.sampled_from(["x", "\u00e9", "\ud800"])))
+            else:
+                e = replace(e, shard="missing.shard")
+            entries[i] = e
+        handle = CorpusHandle("c", "source", entries, 3,
+                              {name: bytes(buf) for name, buf in shards.items()})
+        lo = data.draw(st.integers(0, len(entries)))
+        hi = data.draw(st.integers(lo, len(entries)))
+        ids = [e.video_id for e in entries[lo:hi]]
+        try:
+            rows = [handle.load_video(video_id).values for video_id in ids]
+        except CupidError as exc:
+            with pytest.raises(CupidError) as got:
+                handle.load_tile(lo, hi)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            tile = handle.load_tile(lo, hi)
+            want = np.concatenate(rows) if rows else np.empty((0, 3), np.float32)
+            assert tile.ids == ids
+            assert tile.clips.dtype == np.float32 and tile.clips.shape == want.shape
+            assert tile.clips.tobytes() == want.tobytes()
 
     def test_duplicate_manifest_ids_rejected(self):
         data = write_shard([ClipMatrix("v", np.zeros((1, 2), dtype=np.float32))])
@@ -261,6 +354,56 @@ class TestMergeSubtitles:
         if subs:
             assert merged[0].start_s == subs[0].start_s
             assert merged[-1].end_s == subs[-1].end_s
+
+
+def _manifest_line(i: int) -> str:
+    return json.dumps({"video_id": f"v{i}", "shard": f"s{i % 3}.shard",
+                       "offset": 14 + 40 * i, "clip_count": 1 + i % 8})
+
+
+class TestManifestReader:
+    def test_matches_per_line_reader(self, tmp_path):
+        lines = [_manifest_line(i) for i in range(10_000)]
+        lines[7] = json.dumps({"clip_count": 2, "offset": 9, "shard": "\u00e9.shard",
+                               "video_id": "\u2603 \\ \"q\"", "extra": [1, {"a": None}]})
+        lines[8] = "  " + lines[8] + " \t"
+        for pos in (4098, 4097, 4096, 4095, 4094, 2000, 0):
+            lines.insert(pos, " " if pos % 2 else "")
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+        got = read_manifest(path)
+        assert len(got) == 10_000
+        assert got == read_manifest_lines(path)
+
+    @pytest.mark.parametrize("bad", [
+        '{"video_id": "v", "shard": "s", "offset": 1}',
+        '{"video_id": "v", "shard": "s", "offset": 1, "clip_count": 2',
+        '{"video_id": "v", "shard": "s", "offset": "x", "clip_count": 2}',
+        '[]',
+        'null',
+        _manifest_line(1) + "," + _manifest_line(2),
+        _manifest_line(1) + " " + _manifest_line(2),
+        _manifest_line(1) + "]",
+    ])
+    def test_bad_line_is_named(self, tmp_path, bad):
+        lines = [_manifest_line(i) for i in range(6000)]
+        lines[4999] = bad
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":5000:"):
+            read_manifest(path)
+
+    def test_lines_that_parse_only_when_joined_are_rejected(self, tmp_path):
+        head = '{"video_id": "a", "shard": "s", "offset": 1, "clip_count": 1'
+        lines = [head + ', "x": [{}',
+                 '{"video_id": "b", "shard": "s", "offset": 2, "clip_count": 1}]}',
+                 _manifest_line(3) + "," + _manifest_line(4)]
+        # As one JSON array the three lines hold three entries.
+        assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":1:"):
+            read_manifest(path)
 
 
 class TestJsonlFiles:
