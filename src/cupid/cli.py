@@ -179,7 +179,7 @@ def cmd_ingest(args) -> dict:
         handle = store.build_corpus(videos, publisher.dir, corpus_id, role=args.role,
                                     videos_per_shard=args.videos_per_shard)
         # shards before the manifest, so a visible manifest implies its shards
-        for shard in sorted({e.shard for e in handle.manifest}):
+        for shard in sorted(handle.columns.shards):
             publisher.stage(shard, out_dir / shard)
         publisher.stage(manifest_name, out_dir / manifest_name)
         out_dir.mkdir(exist_ok=True)
@@ -192,7 +192,7 @@ def cmd_ingest(args) -> dict:
     return {
         "corpus_id": corpus_id,
         "videos": handle.video_count,
-        "clips": int(sum(e.clip_count for e in handle.manifest)),
+        "clips": int(handle.columns.clip_counts.sum()),
         "dim": handle.dim,
         "manifest": str(out_dir / manifest_name),
     }
@@ -414,16 +414,16 @@ def cmd_nce_check(args) -> dict:
 def cmd_stats(args) -> dict:
     manifest_path = _require_exists(args.manifest, "--manifest")
     handle = store.CorpusHandle.open(manifest_path, role=args.role)
-    counts = [e.clip_count for e in handle.manifest]
+    counts = handle.columns.clip_counts
     summary = {
         "corpus_id": handle.corpus_id,
         "videos": handle.video_count,
-        "clips": int(sum(counts)),
+        "clips": int(counts.sum()),
         "dim": handle.dim,
-        "shards": len({e.shard for e in handle.manifest}),
+        "shards": len(handle.columns.shards),
         "clips_per_video": {
-            "min": min(counts) if counts else 0,
-            "max": max(counts) if counts else 0,
+            "min": int(counts.min()) if len(counts) else 0,
+            "max": int(counts.max()) if len(counts) else 0,
         },
     }
     payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"

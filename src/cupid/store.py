@@ -18,20 +18,41 @@ to. Shard paths are stored relative to the manifest. Video metadata and
 subtitles live in separate JSON-lines files (see read_metadata /
 read_subtitles).
 
+Manifests are read in chunks of about _CHUNK_BYTES. A chunk whose lines are
+all canonical is parsed with numpy, without a Python object per field. A
+canonical line is exactly what write_manifest writes for an id and a shard
+name of printable ASCII without '"' or '\\' and integers of at most 18
+digits:
+
+    {"video_id": "v1", "shard": "c-00000.shard", "offset": 14, "clip_count": 3}
+
+with "\\n" as its line ending. If any line of the file is not canonical, the
+whole file is read line by line with the JSON scanner instead, so every valid
+line still parses (other key orders, extra keys, escapes, whitespace, blank
+lines, CRLF) and errors name path:line.
+
 After ingestion a CorpusHandle is immutable; any number of threads may read
-from it concurrently. Reads are served from memory-mapped shards.
+from it concurrently. Reads are served from memory-mapped shards. The handle
+keeps the manifest as columns (ManifestColumns). A tile read checks every row
+with numpy index arithmetic against its shard: offset >= 0, the record ends
+inside the shard, and the stored id length, id bytes and clip count equal the
+row's. It then gathers all value rows in one copy and checks that they are
+finite. If any check fails, the rows are re-read one by one, so the error is
+the one load_video raises.
 """
 from __future__ import annotations
 
 import io
 import json
 import mmap
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, DataError, FormatError, NotFoundError, SchemaError
 
@@ -216,36 +237,115 @@ class _Tile:
     clips: np.ndarray       # float32 (total_clips, dim)
 
 
-class CorpusHandle:
-    """Immutable random-access view over the videos of one corpus."""
+def _int_column(values) -> np.ndarray:
+    """Read-only intp array of values; an object array of Python ints if
+    one of them does not fit intp (a corrupt row, which load_video reports)."""
+    try:
+        column = np.asarray(values, dtype=np.intp)
+    except OverflowError:
+        column = np.array(values, dtype=object)
+    column.flags.writeable = False
+    return column
 
-    def __init__(self, corpus_id: str, role: str, manifest: list[ManifestEntry],
+
+def _shard_codes(names: Sequence[str], table: dict[str, int]) -> np.ndarray:
+    """The code of each name in table, adding the names it lacks."""
+    for name in dict.fromkeys(names):
+        table.setdefault(name, len(table))
+    return np.fromiter(map(table.__getitem__, names), dtype=np.intp, count=len(names))
+
+
+@dataclass(frozen=True, eq=False)
+class ManifestColumns:
+    """A manifest as columns: row i is (ids[i], shards[codes[i]], offsets[i],
+    clip_counts[i]). The arrays are read-only; see _int_column."""
+
+    ids: list[str]
+    shards: list[str]
+    codes: np.ndarray
+    offsets: np.ndarray
+    clip_counts: np.ndarray
+
+    def __post_init__(self):
+        for name in ("codes", "offsets", "clip_counts"):
+            object.__setattr__(self, name, _int_column(getattr(self, name)))
+
+    @classmethod
+    def from_entries(cls, entries: Sequence[ManifestEntry]) -> "ManifestColumns":
+        table: dict[str, int] = {}
+        codes = _shard_codes([e.shard for e in entries], table)
+        return cls([e.video_id for e in entries], list(table), codes,
+                   [e.offset for e in entries], [e.clip_count for e in entries])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def entry(self, row: int) -> ManifestEntry:
+        return ManifestEntry(self.ids[row], self.shards[self.codes[row]],
+                             int(self.offsets[row]), int(self.clip_counts[row]))
+
+    def entries(self) -> list[ManifestEntry]:
+        return [self.entry(row) for row in range(len(self))]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
+    """starts[i] + step * k for k in range(counts[i]), concatenated over i."""
+    firsts = np.cumsum(counts) - counts
+    out = np.arange(int(counts.sum()), dtype=np.int64)
+    out *= step
+    out += np.repeat(starts - step * firsts, counts)
+    return out
+
+
+class CorpusHandle:
+    """Immutable random-access view over the videos of one corpus.
+
+    The manifest is held as ManifestColumns (`columns`); `manifest` builds
+    its rows as ManifestEntry objects on each access. The id -> row map
+    load_video needs is built on its first call.
+    """
+
+    def __init__(self, corpus_id: str, role: str,
+                 manifest: ManifestColumns | Sequence[ManifestEntry],
                  dim: int, buffers: dict):
         if role not in ROLES:
             raise ArgumentError(f"role must be one of {ROLES}")
-        ids = [e.video_id for e in manifest]
-        if len(set(ids)) != len(ids):
+        if not isinstance(manifest, ManifestColumns):
+            manifest = ManifestColumns.from_entries(manifest)
+        if len(set(manifest.ids)) != len(manifest):
             raise DataError(f"corpus {corpus_id!r}: duplicate video ids in manifest")
         self.corpus_id = corpus_id
         self.role = role
-        self.manifest = manifest
+        self.columns = manifest
         self.dim = dim
         self._buffers = {name: memoryview(buf) for name, buf in buffers.items()}
-        self._shard_bytes = sum(len(buf) for buf in self._buffers.values())
-        self._index = {e.video_id: e for e in manifest}
+        # Per shard code: its bytes, or None and size -1 if it is not attached.
+        self._shard_arrays = [np.frombuffer(self._buffers[name], dtype=np.uint8)
+                              if name in self._buffers else None
+                              for name in manifest.shards]
+        self._shard_sizes = np.array([-1 if a is None else len(a) for a in self._shard_arrays],
+                                     dtype=np.int64)
+        self._rows: dict[str, int] | None = None
+
+    @property
+    def manifest(self) -> list[ManifestEntry]:
+        return self.columns.entries()
 
     @property
     def video_count(self) -> int:
-        return len(self.manifest)
+        return len(self.columns)
 
     def video_ids(self) -> list[str]:
-        return [e.video_id for e in self.manifest]
+        return list(self.columns.ids)
 
     def load_video(self, video_id: str) -> ClipMatrix:
-        entry = self._index.get(video_id)
-        if entry is None:
+        if self._rows is None:
+            # Threads racing here build equal maps; either one may win.
+            self._rows = dict(zip(self.columns.ids, range(len(self.columns))))
+        row = self._rows.get(video_id)
+        if row is None:
             raise NotFoundError(f"video {video_id!r} not in corpus {self.corpus_id!r}")
-        return self._load_entry(entry)
+        return self._load_entry(self.columns.entry(row))
 
     def _load_entry(self, entry: ManifestEntry) -> ClipMatrix:
         buf = self._buffers.get(entry.shard)
@@ -267,64 +367,77 @@ class CorpusHandle:
     def load_tile(self, start: int, stop: int) -> _Tile:
         """Decode manifest rows [start, stop) into stacked clip arrays.
 
-        Each record's header bytes are compared with the header its manifest
-        row implies (id and clip count) and its values are copied as raw
-        bytes; finiteness is checked once for the whole tile. If any check
-        fails, the rows are re-read one by one through _load_entry, so the
-        error raised is the one load_video raises for the first bad row.
+        The rows are checked and copied by _copy_records. If any check
+        fails, they are re-read one by one through _load_entry, so the error
+        raised is the one load_video raises for the first bad row.
         """
-        entries = self.manifest[start:stop]
-        clip_counts = [e.clip_count for e in entries]
-        clips = self._copy_records(entries, clip_counts)
+        ids = self.columns.ids[start:stop]
+        clips = self._copy_records(start, stop, ids)
         if clips is None:
-            clips = np.concatenate([self._load_entry(e).values for e in entries])
-        counts = np.array(clip_counts, dtype=np.intp)
-        offsets = np.zeros(len(entries) + 1, dtype=np.intp)
+            clips = np.concatenate([self._load_entry(self.columns.entry(row)).values
+                                    for row in range(self.video_count)[start:stop]])
+        counts = np.asarray(self.columns.clip_counts[start:stop], dtype=np.intp)
+        offsets = np.zeros(len(ids) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
-        return _Tile(ids=[e.video_id for e in entries], counts=counts,
-                     offsets=offsets, clips=clips)
+        return _Tile(ids=ids, counts=counts, offsets=offsets, clips=clips)
 
-    def _copy_records(self, entries: Sequence[ManifestEntry],
-                      clip_counts: list[int]) -> np.ndarray | None:
-        """The stacked float32 values of entries, or None unless every
-        record passes the checks _load_entry makes on it.
+    def _copy_records(self, start: int, stop: int, ids: list[str]) -> np.ndarray | None:
+        """The stacked float32 values of rows [start, stop), or None unless
+        every record passes the checks _load_entry makes on it.
 
-        The clip counts are bounded by the shard bytes before anything is
-        allocated, so a corrupt count cannot size the array.
+        Offsets and counts are bounded by their shard before any sum or
+        product of them is formed, so a corrupt row cannot overflow or size
+        an allocation.
         """
-        if not entries:
+        if not ids:
             return np.empty((0, self.dim), dtype=np.float32)
-        total = sum(clip_counts)
         row_bytes = self.dim * 4
-        if self.dim < 1 or min(clip_counts) < 1 or total * row_bytes > self._shard_bytes:
-            return None
-        clips = np.empty((total, self.dim), dtype="<f4")
-        out = memoryview(clips).cast("B")
-        pos = 0
         try:
-            for entry in entries:
-                buf = self._buffers.get(entry.shard)
-                id_bytes = entry.video_id.encode("utf-8")
-                values = entry.offset + _ID_LEN.size + len(id_bytes) + _CLIP_COUNT.size
-                end = values + entry.clip_count * row_bytes
-                # A negative offset would index from the end of the shard.
-                if buf is None or entry.offset < 0 or end > len(buf):
-                    return None
-                header = (_ID_LEN.pack(len(id_bytes)) + id_bytes
-                          + _CLIP_COUNT.pack(entry.clip_count))
-                if buf[entry.offset:values] != header:
-                    return None
-                out[pos:pos + end - values] = buf[values:end]
-                pos += end - values
-        except (struct.error, UnicodeEncodeError):
+            id_bytes = list(map(str.encode, ids))
+            offsets = np.asarray(self.columns.offsets[start:stop], dtype=np.int64)
+            counts = np.asarray(self.columns.clip_counts[start:stop], dtype=np.int64)
+        except (UnicodeEncodeError, OverflowError):
             return None
+        id_lens = np.fromiter(map(len, id_bytes), dtype=np.int64, count=len(ids))
+        codes = self.columns.codes[start:stop]
+        sizes = self._shard_sizes[codes]
+        # A negative offset would index from the end of the shard.
+        if row_bytes == 0 or not ((offsets >= 0) & (offsets <= sizes) & (counts >= 1)
+                                  & (counts <= 0xFFFFFFFF) & (id_lens <= 0xFFFF)).all():
+            return None
+        values = offsets + _ID_LEN.size + id_lens + _CLIP_COUNT.size
+        if not (counts <= (sizes - values) // row_bytes).all():
+            return None
+        stored_id_lens = self._gather(codes, offsets, _ID_LEN.size).view("<u2")[:, 0]
+        stored_ids = self._gather(codes, _ranges(offsets + _ID_LEN.size, id_lens), 1, id_lens)
+        stored_counts = self._gather(codes, values - _CLIP_COUNT.size,
+                                     _CLIP_COUNT.size).view("<u4")[:, 0]
+        if not ((stored_id_lens == id_lens).all() and (stored_counts == counts).all()
+                and stored_ids.tobytes() == b"".join(id_bytes)):
+            return None
+        clips = self._gather(codes, _ranges(values, counts, row_bytes), row_bytes,
+                             counts).view("<f4").astype(np.float32, copy=False)
         if not np.isfinite(clips).all():
             return None
-        return clips.astype(np.float32, copy=False)
+        return clips
+
+    def _gather(self, codes: np.ndarray, starts: np.ndarray, width: int,
+                repeats: np.ndarray | int = 1) -> np.ndarray:
+        """Bytes [s, s + width) for each start s, as a (len(starts), width)
+        uint8 array. Row i of a tile owns the next repeats[i] starts, in
+        shard codes[i]; every span must lie inside its shard."""
+        if (codes == codes[0]).all():
+            return sliding_window_view(self._shard_arrays[codes[0]], width)[starts]
+        codes = np.repeat(codes, repeats)
+        out = np.empty((len(starts), width), dtype=np.uint8)
+        for code in np.unique(codes):
+            pick = codes == code
+            out[pick] = sliding_window_view(self._shard_arrays[code], width)[starts[pick]]
+        return out
 
     def iter_videos(self) -> Iterator[ClipMatrix]:
-        for entry in self.manifest:
-            yield self._load_entry(entry)
+        for row in range(self.video_count):
+            yield self._load_entry(self.columns.entry(row))
 
     @classmethod
     def from_arrays(cls, corpus_id: str, role: str,
@@ -340,11 +453,11 @@ class CorpusHandle:
              corpus_id: str | None = None) -> "CorpusHandle":
         """Open a corpus from its JSON-lines manifest; shards are memory-mapped."""
         manifest_path = Path(manifest_path)
-        entries = read_manifest(manifest_path)
+        columns = read_manifest(manifest_path)
         base = manifest_path.parent
         buffers: dict[str, mmap.mmap | bytes] = {}
         dim: int | None = None
-        for shard_name in sorted({e.shard for e in entries}):
+        for shard_name in sorted(columns.shards):
             shard_path = base / shard_name
             if not shard_path.exists():
                 raise NotFoundError(f"shard file {shard_path} missing")
@@ -361,7 +474,7 @@ class CorpusHandle:
             buffers[shard_name] = buf
         if dim is None:
             dim = 0
-        return cls(corpus_id or manifest_path.stem, role, entries, dim, buffers)
+        return cls(corpus_id or manifest_path.stem, role, columns, dim, buffers)
 
 
 def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: str,
@@ -400,28 +513,95 @@ def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: s
     return CorpusHandle.open(manifest_path, role, corpus_id=corpus_id)
 
 
+# Manifests are read in chunks of about this many bytes; a chunk of
+# canonical lines (see the module docstring) matches _CANONICAL_LINES.
+_CHUNK_BYTES = 1 << 18
+_CANONICAL_STR = rb'[ !#-\[\]-~]*'
+_CANONICAL_INT = rb'(?:0|[1-9][0-9]{0,17})'
+_CANONICAL_LINES = re.compile(
+    rb'(?:\{"video_id": "' + _CANONICAL_STR + rb'", "shard": "' + _CANONICAL_STR
+    + rb'", "offset": ' + _CANONICAL_INT + rb', "clip_count": ' + _CANONICAL_INT
+    + rb'\}\n)*')
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
 # The scanner json.loads runs, called without its per-call wrapper.
 _scan_json = json.JSONDecoder().scan_once
 
 
-def read_manifest(path: str | Path) -> list[ManifestEntry]:
+def read_manifest(path: str | Path) -> ManifestColumns:
     """Read a JSON-lines manifest; blank lines are skipped and every other
-    line must hold exactly one entry object."""
+    line must hold exactly one entry object, with string video_id and shard
+    and integer offset and clip_count."""
+    ids: list[str] = []
+    table: dict[str, int] = {}
+    codes, offsets, counts = [], [], []
+    with open(path, "rb") as f:
+        while lines := f.readlines(_CHUNK_BYTES):
+            chunk = _parse_canonical(b"".join(lines))
+            if chunk is None:
+                return _read_manifest_lines(path)
+            ids += chunk[0]
+            codes.append(_shard_codes(chunk[1], table))
+            offsets.append(chunk[2])
+            counts.append(chunk[3])
+    empty = [np.empty(0, dtype=np.intp)]
+    return ManifestColumns(ids, list(table), np.concatenate(empty + codes),
+                           np.concatenate(empty + offsets), np.concatenate(empty + counts))
+
+
+def _parse_canonical(data: bytes) -> tuple[list[str], list[str], np.ndarray, np.ndarray] | None:
+    """(ids, shard names, offsets, clip counts) of lines that are all
+    canonical, or None."""
+    if _CANONICAL_LINES.fullmatch(data) is None:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Ids and shard names hold no '"', so every line holds exactly 12 of them.
+    quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 12)
+    ends = np.flatnonzero(buf == ord("\n"))
+    return (_ascii_fields(buf, quotes[:, 2] + 1, quotes[:, 3]),
+            _ascii_fields(buf, quotes[:, 6] + 1, quotes[:, 7]),
+            _decimal_fields(buf, quotes[:, 9] + 3, quotes[:, 10] - 2),
+            _decimal_fields(buf, quotes[:, 11] + 3, ends - 1))
+
+
+def _ascii_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[str]:
+    """The strings buf[starts[i]:stops[i]], each followed in buf by '"'."""
+    # Taken with their closing quotes, the fields come apart with one split.
+    text = buf[_ranges(starts, stops + 1 - starts)].tobytes().decode("ascii")
+    return text.split('"')[:-1]
+
+
+def _decimal_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integers written in buf[starts[i]:stops[i]] with 1 to 18 digits."""
+    lens = stops - starts
+    pos = _ranges(starts, lens)
+    digits = (buf[pos] - ord("0")).astype(np.int64) * _POW10[np.repeat(stops - 1, lens) - pos]
+    return np.add.reduceat(digits, np.cumsum(lens) - lens)
+
+
+def _read_manifest_lines(path: str | Path) -> ManifestColumns:
+    """read_manifest for any valid manifest: one scanner call per line."""
     entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = _scan_json(line, 0)
-                if end != len(line):
-                    raise ValueError("extra data after the entry")
-                entries.append(ManifestEntry(obj["video_id"], obj["shard"],
-                                             int(obj["offset"]), int(obj["clip_count"])))
-            except (StopIteration, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{line_no}: bad manifest line") from exc
-    return entries
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for line_no, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj, end = _scan_json(line, 0)
+                    if end != len(line):
+                        raise ValueError("extra data after the entry")
+                    row = (obj["video_id"], obj["shard"], obj["offset"], obj["clip_count"])
+                    if tuple(map(type, row)) != (str, str, int, int):
+                        raise TypeError("video_id and shard must be strings, "
+                                        "offset and clip_count integers")
+                except (StopIteration, KeyError, TypeError, ValueError) as exc:
+                    raise FormatError(f"{path}:{line_no}: bad manifest line") from exc
+                entries.append(ManifestEntry(*row))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not valid UTF-8") from exc
+    return ManifestColumns.from_entries(entries)
 
 
 def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:

@@ -72,13 +72,23 @@ def column_means_from_matrix(view: SimilarityView) -> tuple[list[str], np.ndarra
 
 
 def read_manifest_lines(path):
-    """Manifest entries parsed with one json.loads per non-blank line."""
+    """Manifest entries parsed with one json.loads per non-blank line.
+
+    A line that is not one entry object with string video_id and shard and
+    integer offset and clip_count raises ValueError with the line's number.
+    """
     entries = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 obj = json.loads(line)
-                entries.append(ManifestEntry(obj["video_id"], obj["shard"],
-                                             int(obj["offset"]), int(obj["clip_count"])))
+                row = (obj["video_id"], obj["shard"], obj["offset"], obj["clip_count"])
+            except (ValueError, KeyError, TypeError):
+                row = None
+            if row is None or [type(v) for v in row] != [str, str, int, int]:
+                raise ValueError(line_no)
+            entries.append(ManifestEntry(*row))
     return entries

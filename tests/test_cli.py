@@ -7,6 +7,7 @@ import pytest
 import cupid.kernels as kernels
 from cupid.cli import main
 from cupid.curation import read_curation_manifest, read_schedule
+from cupid.errors import FormatError
 from cupid.similarity import load_matrix, read_column_means
 from cupid.store import CorpusHandle
 
@@ -276,6 +277,51 @@ class TestStats:
         summary = json.loads(capsys.readouterr().out)
         assert summary["videos"] == 30
         assert summary["dim"] == 8
+
+
+def _single_error(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+class TestBadManifest:
+    @pytest.mark.parametrize("field,bad", [
+        ("video_id", lambda v: 5),
+        ("shard", lambda v: 7),
+        ("offset", lambda v: v + 0.5),
+        ("offset", str),
+        ("clip_count", float),
+        ("clip_count", lambda v: True),
+    ], ids=["int-id", "int-shard", "float-offset", "string-offset", "float-count",
+            "bool-count"])
+    def test_mistyped_row_is_format_error(self, corpora, tmp_path, capsys, field, bad):
+        src, tgt = corpora
+        lines = src.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[field] = bad(row[field])
+        lines[1] = json.dumps(row) + "\n"
+        src.write_text("".join(lines))
+        message = f"{src}:2: bad manifest line"
+        with pytest.raises(FormatError) as got:
+            CorpusHandle.open(src, "source")
+        assert str(got.value) == message
+        out = tmp_path / "picked.jsonl"
+        code = main(["curate", "--strategy", "avg-sim", "--capacity", "10",
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(out)])
+        assert code == 1
+        assert _single_error(capsys) == {"error": "format", "message": message}
+        assert not out.exists()
+
+    def test_manifest_that_is_not_utf8_is_format_error(self, corpora, capsys):
+        src, _ = corpora
+        src.write_bytes(src.read_bytes().replace(b'"s0001"', b'"s\xff001"', 1))
+        with pytest.raises(FormatError, match="not valid UTF-8") as got:
+            CorpusHandle.open(src, "source")
+        assert str(got.value).startswith(f"{src}:")
+        assert main(["stats", "--manifest", str(src)]) == 1
+        assert _single_error(capsys) == {"error": "format", "message": str(got.value)}
 
 
 class TestConfigFile:

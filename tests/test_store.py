@@ -2,6 +2,7 @@
 import json
 import struct
 from dataclasses import replace
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -190,6 +191,19 @@ class TestCorpusHandle:
         no_dim = CorpusHandle.from_arrays("e", "source", [])
         assert no_dim.load_tile(0, 0).clips.shape == (0, 0)
 
+    def test_load_tile_gathers_rows_out_of_shard_order(self, rng, monkeypatch):
+        videos = random_videos(rng, "v", 9, 4, 3)
+        shards = {"a": write_shard(videos[:5]), "b": write_shard(videos[5:])}
+        entries = [e for name, data in shards.items()
+                   for e in ingest_shard(data, 3, shard_name=name)]
+        order = [8, 0, 5, 3, 6, 1, 7, 2, 4]
+        handle = CorpusHandle("c", "source", [entries[i] for i in order], 3, shards)
+        monkeypatch.setattr(store, "_decode_video", None)  # no row-by-row fallback
+        tile = handle.load_tile(1, 8)
+        assert tile.ids == [videos[i].video_id for i in order[1:8]]
+        assert tile.clips.tobytes() == b"".join(videos[i].values.tobytes()
+                                                 for i in order[1:8])
+
     @pytest.mark.parametrize("field,bad", [
         # Counted from the end of the shard, these offsets name the right
         # records; they must be rejected all the same.
@@ -209,8 +223,33 @@ class TestCorpusHandle:
                 handle.load_tile(0, stop)
             assert str(got.value) == str(want.value)
 
+    def test_swapped_ids_fail_as_load_video_does(self, rng):
+        # Ids of one length: only the id bytes tell the two rows apart.
+        data = write_shard(random_videos(rng, "v", 3, 3, 4))
+        rows = ingest_shard(data, 4)
+        rows[0], rows[1] = (replace(rows[0], video_id=rows[1].video_id),
+                            replace(rows[1], video_id=rows[0].video_id))
+        handle = CorpusHandle("c", "source", rows, 4, {"": data})
+        with pytest.raises(FormatError) as want:
+            handle.load_video(rows[0].video_id)
+        with pytest.raises(FormatError) as got:
+            handle.load_tile(0, 3)
+        assert str(got.value) == str(want.value)
+
+    def test_truncated_shard_fails_as_load_video_does(self, rng):
+        # Every header still matches its row; only the last record's values
+        # run past the end of the shard.
+        data = write_shard(random_videos(rng, "v", 3, 3, 4))[:-4]
+        rows = ingest_shard(data + bytes(4), 4)
+        handle = CorpusHandle("c", "source", rows, 4, {"": data})
+        with pytest.raises(FormatError) as want:
+            handle.load_video(rows[2].video_id)
+        with pytest.raises(FormatError) as got:
+            handle.load_tile(0, 3)
+        assert str(got.value) == str(want.value)
+
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=450, deadline=None)
     def test_tile_matches_load_video_under_corruption(self, data):
         """A tile holds exactly the bytes load_video gives for its rows, or
         raises what load_video raises for the first of them that fails."""
@@ -221,14 +260,26 @@ class TestCorpusHandle:
         entries = [e for name, buf in shards.items()
                    for e in ingest_shard(bytes(buf), 3, shard_name=name)]
         kind = data.draw(st.sampled_from(
-            ["none", "flip", "truncate", "nan", "shift", "count", "id", "shard"]))
-        if kind == "flip":
+            ["none", "flip", "truncate", "nan", "shift", "count", "id", "shard",
+             "permute", "alternate", "header"]))
+        if kind == "permute":
+            entries = data.draw(st.permutations(entries))
+        elif kind == "alternate":
+            # a0 b0 a1 b1 a2 b2 a3: each row is in another shard than the row before
+            entries = [e for pair in zip_longest(entries[:4], entries[4:])
+                       for e in pair if e is not None]
+        elif kind == "flip":
             buf = shards[data.draw(st.sampled_from(sorted(shards)))]
             pos = data.draw(st.integers(0, len(buf) - 1))
             buf[pos] ^= data.draw(st.integers(1, 255))
         elif kind == "truncate":
             buf = shards[data.draw(st.sampled_from(sorted(shards)))]
             del buf[data.draw(st.integers(0, len(buf) - 1)):]
+        elif kind == "header":
+            # a byte of one record's id length, id or clip count
+            e = data.draw(st.sampled_from(entries))
+            pos = e.offset + data.draw(st.integers(0, 2 + len(e.video_id) + 3))
+            shards[e.shard][pos] ^= data.draw(st.integers(1, 255))
         elif kind == "nan":
             e = data.draw(st.sampled_from(entries))
             pos = (e.offset + 2 + len(e.video_id) + 4
@@ -361,6 +412,61 @@ def _manifest_line(i: int) -> str:
                        "offset": 14 + 40 * i, "clip_count": 1 + i % 8})
 
 
+# Characters a canonical manifest string may hold: printable ASCII but '"' and '\'.
+_CANONICAL_CHARS = st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                 blacklist_characters='"\\')
+# Rows write_manifest writes as canonical lines, keys in its order.
+_CANONICAL_ROWS = st.tuples(
+    st.text(_CANONICAL_CHARS, max_size=6), st.sampled_from(["s0.shard", "s1.shard", ""]),
+    st.integers(0, 10**18 - 1), st.integers(0, 9),
+).map(lambda row: dict(zip(("video_id", "shard", "offset", "clip_count"), row)))
+# Ways to write a canonical row as a line that is not canonical, each
+# differing from the canonical line in one way. Some lines are invalid.
+_ODD_LINES = {
+    "reordered": lambda row: json.dumps(dict(reversed(row.items()))),
+    "extra_key": lambda row: json.dumps({**row, "extra": [1, None]}),
+    "escaped_quote": lambda row: json.dumps({**row, "video_id": row["video_id"] + '"'}),
+    "escaped_backslash": lambda row: json.dumps({**row, "shard": row["shard"] + "\\"}),
+    "non_ascii_id": lambda row: json.dumps({**row, "video_id": row["video_id"] + "\u00e9"}),
+    "unescaped_id": lambda row: json.dumps({**row, "video_id": "\u2603" + row["video_id"]},
+                                           ensure_ascii=False),
+    "control_id": lambda row: json.dumps({**row, "video_id": row["video_id"] + "\x7f"}),
+    "19_digits": lambda row: json.dumps({**row, "offset": 10**18 + row["offset"]}),
+    "20_digits": lambda row: json.dumps({**row, "clip_count": 10**19 + row["clip_count"]}),
+    "past_int64": lambda row: json.dumps({**row, "offset": 2**64 + row["offset"]}),
+    "compact": lambda row: json.dumps(row, separators=(",", ":")),
+    "padded": lambda row: " \t" + json.dumps(row) + "  ",
+    "crlf": lambda row: json.dumps(row) + "\r",
+    "cr": lambda row: json.dumps(row) + "\r" + json.dumps({**row, "video_id": "cr"}),
+    "blank": lambda row: " " * len(row["video_id"]),
+    "leading_zero": lambda row: json.dumps(row).replace('"offset": ', '"offset": 0'),
+    "float_offset": lambda row: json.dumps({**row, "offset": row["offset"] + 0.5}),
+    "bool_count": lambda row: json.dumps({**row, "clip_count": True}),
+    "int_id": lambda row: json.dumps({**row, "video_id": 5}),
+    "truncated": lambda row: json.dumps(row)[:-1],
+}
+
+
+def _assert_reads_as_per_line_reader(path, chunk_bytes):
+    """read_manifest, in chunks of about chunk_bytes, gives the rows
+    read_manifest_lines gives or raises an error naming the line it rejects."""
+    try:
+        want = read_manifest_lines(path)
+    except ValueError as exc:
+        want = FormatError(f"{path}:{exc.args[0]}: bad manifest line")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(store, "_CHUNK_BYTES", chunk_bytes)
+        if isinstance(want, FormatError):
+            with pytest.raises(FormatError) as got:
+                read_manifest(path)
+            assert str(got.value) == str(want)
+        else:
+            columns = read_manifest(path)
+            assert columns.entries() == want
+            assert all(type(v) is str for v in columns.ids)
+            assert not columns.offsets.flags.writeable
+
+
 class TestManifestReader:
     def test_matches_per_line_reader(self, tmp_path):
         lines = [_manifest_line(i) for i in range(10_000)]
@@ -371,7 +477,7 @@ class TestManifestReader:
             lines.insert(pos, " " if pos % 2 else "")
         path = tmp_path / "m.jsonl"
         path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
-        got = read_manifest(path)
+        got = read_manifest(path).entries()
         assert len(got) == 10_000
         assert got == read_manifest_lines(path)
 
@@ -393,6 +499,42 @@ class TestManifestReader:
         with pytest.raises(FormatError, match=":5000:"):
             read_manifest(path)
 
+    def test_canonical_manifest_is_read_without_the_scanner(self, tmp_path, monkeypatch):
+        entries = [ManifestEntry(f"v{i}", f"s{i % 3}.shard", 14 + 40 * i, 1 + i % 8)
+                   for i in range(3000)]
+        path = tmp_path / "m.jsonl"
+        write_manifest(entries, path)
+        monkeypatch.setattr(store, "_scan_json", None)
+        assert read_manifest(path).entries() == entries
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_fast_path_matches_per_line_reader(self, tmp_path_factory, data):
+        """Canonical lines mixed with other valid and invalid lines, on both
+        sides of chunk boundaries: the rows equal the json.loads reader's,
+        or the error names the line it rejects."""
+        lines = [json.dumps(row) for row in data.draw(st.lists(_CANONICAL_ROWS, max_size=12))]
+        # Mostly one odd line, so that nothing else sends the file line by line.
+        for _ in range(data.draw(st.sampled_from([0, 1, 1, 2]))):
+            write = data.draw(st.sampled_from(list(_ODD_LINES.values())))
+            lines.insert(data.draw(st.integers(0, len(lines))), write(data.draw(_CANONICAL_ROWS)))
+        text = "".join(line + "\n" for line in lines)
+        if text and data.draw(st.booleans()):
+            text = text[:-1]  # no final newline
+        path = tmp_path_factory.mktemp("m") / "m.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_reads_as_per_line_reader(path, data.draw(st.integers(1, 400)))
+
+    @pytest.mark.parametrize("kind", sorted(_ODD_LINES))
+    def test_one_odd_line_among_canonical_ones(self, tmp_path, kind):
+        rows = [{"video_id": f"v{i}", "shard": "s.shard", "offset": 14 + i, "clip_count": 1 + i}
+                for i in range(3)]
+        lines = [json.dumps(row) for row in rows]
+        lines[1] = _ODD_LINES[kind](rows[1])
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        _assert_reads_as_per_line_reader(path, 100)
+
     def test_lines_that_parse_only_when_joined_are_rejected(self, tmp_path):
         head = '{"video_id": "a", "shard": "s", "offset": 1, "clip_count": 1'
         lines = [head + ', "x": [{}',
@@ -412,7 +554,7 @@ class TestJsonlFiles:
                    ManifestEntry("b", "x.shard", 99, 1)]
         path = tmp_path / "m.jsonl"
         write_manifest(entries, path)
-        assert read_manifest(path) == entries
+        assert read_manifest(path).entries() == entries
 
     def test_metadata_round_trip(self, tmp_path):
         metas = [VideoMeta("a", "Food and Entertaining", "How to cook", "human", 61.5),
