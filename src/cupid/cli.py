@@ -13,6 +13,7 @@ The CUPID_LOG environment variable sets the log level (DEBUG, INFO, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -76,8 +77,10 @@ def _require_exists(path, what: str) -> Path:
 class _Publisher:
     """Collects finished files in a staging dir, renames them on publish.
 
-    Secondary files (sidecars, stage manifests) are renamed before the
-    primary, so a visible primary always implies a complete artifact set.
+    As a context manager it publishes when its block ends and deletes the
+    staged files when the block raises. Secondary files (sidecars, stage
+    manifests) are renamed before the primary, so a visible primary always
+    implies a complete artifact set.
     """
 
     def __init__(self, out_dir: Path):
@@ -86,33 +89,29 @@ class _Publisher:
         self._staging = tempfile.TemporaryDirectory(dir=out_dir, prefix=".cupid-stage-")
         self.dir = Path(self._staging.name)
         self._moves: list[tuple[Path, Path]] = []
+        self.published: list[Path] = []
 
     def stage(self, name: str, final_path: Path) -> Path:
         tmp = self.dir / name
         self._moves.append((tmp, final_path))
         return tmp
 
-    def publish(self) -> list[Path]:
-        published = []
-        for tmp, final in self._moves:
-            os.replace(tmp, final)
-            published.append(final)
-        self._staging.cleanup()
-        return published
+    def __enter__(self) -> "_Publisher":
+        return self
 
-    def abort(self) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            for tmp, final in self._moves:
+                os.replace(tmp, final)
+                self.published.append(final)
         self._staging.cleanup()
 
 
 def _publish_single(out: Path, write_fn) -> list[Path]:
     """Write one file through a staging dir and atomically move it to out."""
-    publisher = _Publisher(out.parent)
-    try:
+    with _Publisher(out.parent) as publisher:
         write_fn(publisher.stage(out.name, out))
-    except BaseException:
-        publisher.abort()
-        raise
-    return publisher.publish()
+    return publisher.published
 
 
 def _tile_config(args) -> similarity.TileConfig:
@@ -174,8 +173,7 @@ def cmd_ingest(args) -> dict:
                 )
     corpus_id = args.corpus_id or out_dir.name
     manifest_name = f"{corpus_id}.manifest.jsonl"
-    publisher = _Publisher(out_dir.parent)
-    try:
+    with _Publisher(out_dir.parent) as publisher:
         handle = store.build_corpus(videos, publisher.dir, corpus_id, role=args.role,
                                     videos_per_shard=args.videos_per_shard)
         # shards before the manifest, so a visible manifest implies its shards
@@ -183,10 +181,7 @@ def cmd_ingest(args) -> dict:
             publisher.stage(shard, out_dir / shard)
         publisher.stage(manifest_name, out_dir / manifest_name)
         out_dir.mkdir(exist_ok=True)
-    except BaseException:
-        publisher.abort()
-        raise
-    args._outputs = publisher.publish()
+    args._outputs = publisher.published
     args._inputs = [input_path]
     args._report_path = out_dir / "run-report.json"
     return {
@@ -216,7 +211,7 @@ def cmd_similarity(args) -> dict:
     else:
         if args.topk is None:
             raise UsageError("--topk is required with --mode topk")
-        rows = similarity.stream_row_topk(target, source, pooling, args.topk, tile)
+        rows = similarity.stream_row_topk(target, source, pooling, args.topk, tile).rows()
 
         def write_rows(path):
             with open(path, "w", encoding="utf-8") as f:
@@ -236,8 +231,7 @@ def cmd_similarity(args) -> dict:
 
 
 def _read_id_file(path: Path) -> set[str]:
-    with open(path, "r", encoding="utf-8") as f:
-        return {line.strip() for line in f if line.strip()}
+    return set(store.read_lines(path, "id", str))
 
 
 def _heuristic_rules(args) -> curation.HeuristicRules:
@@ -280,24 +274,21 @@ def cmd_curate(args) -> dict:
             ids, means = similarity.stream_column_means(target, source, pooling, tile)
             manifest = curation.curate_avg_sim(ids, means, args.capacity, config)
         else:
-            provider = similarity.streaming_topk_provider(target, source, pooling, tile)
-            manifest = curation.curate_knn(provider, source.video_count, args.capacity,
+            # Read from the module on each run, so a wrapper installed there is called.
+            row_topk = functools.partial(similarity.stream_row_topk, target, source,
+                                         pooling, tile=tile)
+            manifest = curation.curate_knn(row_topk, source.video_count, args.capacity,
                                            args.expansion_factor, args.seed, config)
     if args.exclude_ids:
         exclude_path = _require_exists(args.exclude_ids, "--exclude-ids")
         inputs.append(exclude_path)
         manifest = curation.exclude_overlap(manifest, _read_id_file(exclude_path))
     out = Path(args.out)
-    publisher = _Publisher(out.parent)
-    try:
+    with _Publisher(out.parent) as publisher:
         # sidecar registered first so it is published before the manifest
         publisher.stage(out.name + ".meta.json", out.with_name(out.name + ".meta.json"))
-        staged = publisher.stage(out.name, out)
-        curation.write_curation_manifest(manifest, staged)
-    except BaseException:
-        publisher.abort()
-        raise
-    args._outputs = publisher.publish()
+        curation.write_curation_manifest(manifest, publisher.stage(out.name, out))
+    args._outputs = publisher.published
     args._inputs = inputs
     args._report_path = Path(str(out) + ".run.json")
     summary = {"strategy": manifest.strategy, "selected": len(manifest.entries),
@@ -328,8 +319,7 @@ def cmd_schedule(args) -> dict:
     schedule = curation.build_incremental_schedule(stage_manifests, args.steps)
     out = Path(args.out)
     stem = out.name.removesuffix(".jsonl")
-    publisher = _Publisher(out.parent)
-    try:
+    with _Publisher(out.parent) as publisher:
         stage_names = []
         for i, stage in enumerate(schedule.stages, 1):
             name = f"{stem}.stage{i}.jsonl"
@@ -338,10 +328,7 @@ def cmd_schedule(args) -> dict:
             curation.write_curation_manifest(stage.manifest, staged)
             stage_names.append(name)
         curation.write_schedule(schedule, stage_names, publisher.stage(out.name, out))
-    except BaseException:
-        publisher.abort()
-        raise
-    args._outputs = publisher.publish()
+    args._outputs = publisher.published
     args._inputs = [manifest_path]
     args._report_path = Path(str(out) + ".run.json")
     return {"stages": len(schedule.stages), "sizes": sizes,
@@ -596,11 +583,8 @@ def main(argv: list[str] | None = None) -> int:
             "summary": summary,
             "timings": {"total_s": time.time() - started},
         }
-        tmp = args._report_path.with_name(args._report_path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, args._report_path)
+        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _publish_single(args._report_path, lambda p: p.write_text(payload, encoding="utf-8"))
     log.info("%s finished in %.2fs", args.command, time.time() - started)
     return 0
 

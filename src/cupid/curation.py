@@ -5,6 +5,8 @@ the whole target corpus (avg_sim), sampling from a pool built out of
 per-target nearest neighbours (knn), and metadata rule filtering (heuristic).
 Manifests can be chained through overlap exclusion and staged into an
 incremental schedule with strictly decreasing capacities.
+The KNN pool is computed on the arrays of a similarity.RowTopK, with no
+Python object per row entry.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, DataError, FormatError
-from .similarity import PoolingMode, _id_rank
-from .store import VideoMeta
+from .similarity import PoolingMode, RowTopK, _id_rank
+from .store import VideoMeta, json_object, read_lines, str_field
 
 STRATEGIES = ("avg_sim", "knn", "heuristic")
 
@@ -100,52 +102,63 @@ def curate_avg_sim(source_ids: Sequence[str], means: np.ndarray, c: int,
     return CurationManifest("avg_sim", entries, echo)
 
 
-RowTopkProvider = Callable[[int], list[list[tuple[str, float]]]]
-
-
-def knn_candidate_pool(row_topk_provider: RowTopkProvider, n_sources: int,
+def knn_candidate_pool(row_topk: Callable[[int], RowTopK], n_sources: int,
                        pool_target: int) -> tuple[list[tuple[str, float]], int]:
     """Grow per-row k until the union of per-row top-k reaches pool_target ids.
 
-    Returns the pool as (source_id, best score over rows) pairs sorted by
-    (score desc, id asc), plus the k that was reached. k stops growing at
-    n_sources even if the pool stays smaller than pool_target.
+    row_topk(k) is asked first for k = min(max(8, pool_target), n_sources),
+    then for four times the last k. Returns the pool at the smallest depth
+    reaching pool_target, as (source_id, best score over rows) pairs sorted
+    by (score desc, id asc), plus that depth. k stops growing at n_sources
+    even if the pool stays smaller than pool_target.
     """
     if n_sources == 0:
         return [], 0
     fetch_k = min(max(8, pool_target), n_sources)
     while True:
-        rows = row_topk_provider(fetch_k)
-        # Per-row lists are sorted by the same total order for every k, so
-        # the top-k rows for any k <= fetch_k are their prefixes.
-        k, union = _minimal_k(rows, pool_target)
-        if len(union) >= pool_target:
+        topk = row_topk(fetch_k)
+        # Rows are sorted by the same total order for every k, so the top-k
+        # rows for any k <= fetch_k are their prefixes.
+        k, size = _minimal_depth(topk.cols, n_sources, pool_target)
+        if size >= pool_target:
             break
         if fetch_k >= n_sources:
             k = n_sources
             break
         fetch_k = min(fetch_k * 4, n_sources)
-    pool = sorted(union.items(), key=lambda item: (-item[1], item[0]))
-    return pool, k
+    cols, scores = _best_scores(topk.cols[:, :k], topk.scores[:, :k])
+    ids = [topk.source_ids[c] for c in cols.tolist()]
+    order = np.lexsort((_id_rank(ids), -scores)).tolist()
+    return list(zip([ids[i] for i in order], scores[order].tolist())), k
 
 
-def _minimal_k(rows, pool_target: int) -> tuple[int, dict[str, float]]:
-    """Smallest prefix depth whose id union reaches pool_target, with that
-    union (id -> best score); the full depth and its union if none does."""
-    best: dict[str, float] = {}
-    depth = max((len(r) for r in rows), default=0)
-    for k in range(1, depth + 1):
-        for row in rows:
-            if k <= len(row):
-                vid, score = row[k - 1]
-                if vid not in best or score > best[vid]:
-                    best[vid] = score
-        if len(best) >= pool_target:
-            return k, best
-    return depth, best
+def _minimal_depth(cols: np.ndarray, n: int, pool_target: int) -> tuple[int, int]:
+    """Smallest depth d whose first d columns of all rows hold pool_target
+    distinct ids, with that id count; the full depth and its count if none
+    does."""
+    depth = cols.shape[1] if len(cols) else 0
+    first = np.full(n, depth, dtype=np.intp)  # the depth each id first appears at
+    depths = np.broadcast_to(np.arange(cols.shape[1]), cols.shape)
+    np.minimum.at(first, cols.ravel(), depths.ravel())
+    sizes = np.cumsum(np.bincount(first, minlength=depth + 1)[:depth])
+    d = min(int(np.searchsorted(sizes, pool_target)) + 1, depth)
+    return d, int(sizes[d - 1]) if d else 0
 
 
-def curate_knn(row_topk_provider: RowTopkProvider, n_sources: int, c: int,
+def _best_scores(cols: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids of cols, ascending, each with its best score. Of
+    equal best scores (0.0 and -0.0) the first met depth by depth wins.
+    """
+    cols, scores = cols.T.ravel(), scores.T.ravel()  # depth by depth
+    # Stable, unlike np.maximum.at's choice between equal zeros.
+    order = np.lexsort((-scores, cols))
+    cols, scores = cols[order], scores[order]
+    head = np.ones(len(cols), dtype=bool)
+    head[1:] = cols[1:] != cols[:-1]
+    return cols[head], scores[head]
+
+
+def curate_knn(row_topk: Callable[[int], RowTopK], n_sources: int, c: int,
                expansion_factor: float = 3.0, seed: int = 0,
                config: CurationConfig | None = None) -> CurationManifest:
     """Sample c sources from a nearest-neighbour pool 2-4x larger than c.
@@ -162,17 +175,15 @@ def curate_knn(row_topk_provider: RowTopkProvider, n_sources: int, c: int,
     if not 2.0 <= expansion_factor <= 4.0:
         raise ArgumentError("expansion_factor must lie in [2, 4]")
     pool_target = int(round(expansion_factor * c))
-    pool, _ = knn_candidate_pool(row_topk_provider, n_sources, pool_target)
+    pool, _ = knn_candidate_pool(row_topk, n_sources, pool_target)
     if len(pool) < c:
         raise CapacityError(
             f"candidate pool has {len(pool)} ids, capacity is {c} "
             "(provider returned fewer rows than expected)")
     rng = np.random.default_rng(seed)
-    chosen_idx = rng.permutation(len(pool))[:c]
-    chosen = [pool[i] for i in sorted(chosen_idx)]
-    chosen.sort(key=lambda item: (-item[1], item[0]))
-    entries = [CurationEntry(rank, vid, float(score))
-               for rank, (vid, score) in enumerate(chosen, 1)]
+    # The pool is in output order, so its picked positions in ascending order are too.
+    chosen = np.sort(rng.permutation(len(pool))[:c]).tolist()
+    entries = [CurationEntry(rank, *pool[i]) for rank, i in enumerate(chosen, 1)]
     echo = config.as_dict() if config else {
         "capacity_c": c, "strategy": "knn",
         "expansion_factor": expansion_factor, "seed": seed,
@@ -318,27 +329,24 @@ def write_curation_manifest(manifest: CurationManifest, path: str | Path) -> Non
 
 def read_curation_manifest(path: str | Path) -> CurationManifest:
     path = Path(path)
-    entries = []
-    strategy = None
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                entries.append(CurationEntry(int(obj["rank"]), obj["video_id"],
-                                             obj["score"]))
-                strategy = obj["strategy"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{line_no}: bad manifest line") from exc
+
+    def parse(line: str) -> tuple[CurationEntry, str]:
+        obj = json_object(line)
+        entry = CurationEntry(int(obj["rank"]), str_field(obj, "video_id"), obj["score"])
+        return entry, str_field(obj, "strategy")
+
+    rows = read_lines(path, "manifest", parse)
+    entries = [entry for entry, _ in rows]
+    strategy = rows[-1][1] if rows else None
     sidecar_path = _sidecar_path(path)
     config_echo: dict = {}
     excluded = 0
     if sidecar_path.exists():
-        with open(sidecar_path, "r", encoding="utf-8") as f:
-            sidecar = json.load(f)
-        strategy = sidecar.get("strategy", strategy)
+        try:
+            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+            strategy = sidecar.get("strategy", strategy)
+        except (ValueError, AttributeError) as exc:  # not UTF-8, not JSON, not an object
+            raise FormatError(f"{sidecar_path}: bad manifest sidecar") from exc
         config_echo = sidecar.get("config", {})
         excluded = sidecar.get("excluded_count", 0)
     if strategy is None:
@@ -358,15 +366,8 @@ def write_schedule(schedule: StagedSchedule, manifest_paths: Sequence[str | Path
 
 
 def read_schedule(path: str | Path) -> list[tuple[int, str, int]]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rows.append((int(obj["stage"]), obj["manifest_path"], int(obj["steps"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{line_no}: bad schedule line") from exc
-    return rows
+    def parse(line: str) -> tuple[int, str, int]:
+        obj = json_object(line)
+        return int(obj["stage"]), str_field(obj, "manifest_path"), int(obj["steps"])
+
+    return read_lines(path, "schedule", parse)

@@ -14,6 +14,10 @@ every consumer (dense matrix, column means, per-row top-k) sees those same
 float32 values, and ordered reductions over them are performed in target
 index order. Consequently dense and streaming paths agree bit-for-bit and
 results are independent of tile geometry and worker count.
+
+All three consumers take their float32 blocks from one helper,
+_score_blocks. stream_row_topk returns a RowTopK: P x k arrays of source
+indices and scores, each row sorted by (score desc, source id asc).
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ArgumentError, CapacityError, FormatError, SchemaError
-from .store import ClipMatrix, CorpusHandle
+from .store import ClipMatrix, CorpusHandle, _Tile, json_object, read_lines, str_field
 
 MATRIX_MAGIC = b"CPDK"
 MATRIX_VERSION = 1
@@ -83,20 +87,12 @@ class SimilarityView:
     matrix: np.ndarray
 
 
-def _clip_sums(values32: np.ndarray) -> np.ndarray:
-    """Sum clips of one video in clip order, accumulating in float64."""
-    acc = np.zeros(values32.shape[1], dtype=np.float64)
-    for row in values32:
-        acc += row
-    return acc
-
-
 def _segment_clip_sums(clips32: np.ndarray, offsets: np.ndarray,
                        counts: np.ndarray) -> np.ndarray:
-    """Per-video clip sums over a stacked tile.
+    """Per-video clip sums over a stacked tile, accumulated in float64.
 
     Vectorized over videos but sequential over clip index, so each video's
-    sum is bit-identical to _clip_sums on that video alone.
+    sum is the same float64 whatever tile it is summed in.
     """
     n = len(counts)
     acc = np.zeros((n, clips32.shape[1]), dtype=np.float64)
@@ -113,7 +109,6 @@ def _segment_clip_sums(clips32: np.ndarray, offsets: np.ndarray,
 class _SidePrep:
     """Kernel-ready arrays for one side of the score computation."""
 
-    ids: list[str]
     counts: np.ndarray              # intp (n,)
     sums: np.ndarray | None         # float64 (n, d), mean pooling
     clips: np.ndarray | None        # float64 (total_clips, d), max pooling
@@ -130,40 +125,46 @@ class _SidePrep:
 def _prepare_side(tile, pooling: PoolingMode) -> _SidePrep:
     if pooling is PoolingMode.MEAN:
         sums = _segment_clip_sums(tile.clips, tile.offsets, tile.counts)
-        return _SidePrep(tile.ids, tile.counts, sums, None, None)
-    return _SidePrep(tile.ids, tile.counts, None,
-                     tile.clips.astype(np.float64), tile.offsets)
+        return _SidePrep(tile.counts, sums, None, None)
+    return _SidePrep(tile.counts, None, tile.clips.astype(np.float64), tile.offsets)
+
+
+def _video_side(video: ClipMatrix, pooling: PoolingMode) -> _SidePrep:
+    count = video.clip_count
+    return _prepare_side(_Tile([video.video_id], np.array([count], dtype=np.intp),
+                               np.array([0, count], dtype=np.intp), video.values), pooling)
 
 
 def _score_block(target_prep: _SidePrep, r0: int, r1: int,
                  source_prep: _SidePrep, pooling: PoolingMode) -> np.ndarray:
+    rows = target_prep.row_args(r0, r1)
     if pooling is PoolingMode.MEAN:
-        t_sums, t_counts = target_prep.row_args(r0, r1)
-        return kernels.mean_score_block(t_sums, t_counts,
-                                        source_prep.sums, source_prep.counts)
-    t_clips, t_offsets = target_prep.row_args(r0, r1)
-    return kernels.max_score_block(t_clips, t_offsets,
-                                   source_prep.clips, source_prep.offsets)
+        return kernels.mean_score_block(*rows, source_prep.sums, source_prep.counts)
+    return kernels.max_score_block(*rows, source_prep.clips, source_prep.offsets)
 
 
-def _check_dims(target: CorpusHandle, source: CorpusHandle) -> None:
-    if target.video_count and source.video_count and target.dim != source.dim:
-        raise SchemaError(
-            f"target dim {target.dim} != source dim {source.dim}"
-        )
+def _score_blocks(target: CorpusHandle, source: CorpusHandle, pooling: PoolingMode,
+                  tile: TileConfig,
+                  consume: Callable[[int, int, int, np.ndarray], None]) -> None:
+    """Call consume(lo, hi, r0, block32) with every float32 score block:
+    source videos [lo, hi) against target rows r0, r0 + 1, ....
 
+    Source tiles of tile.tile_cols videos may run on tile.threads threads,
+    but each tile's blocks come from one thread, in row order.
+    """
+    p, n = target.video_count, source.video_count
+    if p and n and target.dim != source.dim:
+        raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
+    target_prep = _prepare_side(target.load_tile(0, p), pooling)
+    step = tile.tile_rows or max(p, 1)
 
-def _row_chunks(total: int, tile_rows: int | None):
-    step = tile_rows if tile_rows else max(total, 1)
-    for r0 in range(0, total, step):
-        yield r0, min(r0 + step, total)
+    def work(lo: int, hi: int) -> None:
+        source_prep = _prepare_side(source.load_tile(lo, hi), pooling)
+        for r0 in range(0, p, step):
+            block = _score_block(target_prep, r0, min(r0 + step, p), source_prep, pooling)
+            consume(lo, hi, r0, block.astype(np.float32))
 
-
-def _run_source_tiles(source: CorpusHandle, tile: TileConfig,
-                      work: Callable[[int, int], None]) -> None:
-    """Apply work(lo, hi) to every source tile, optionally on a thread pool."""
-    spans = [(lo, min(lo + tile.tile_cols, source.video_count))
-             for lo in range(0, source.video_count, tile.tile_cols)]
+    spans = [(lo, min(lo + tile.tile_cols, n)) for lo in range(0, n, tile.tile_cols)]
     if tile.threads <= 1 or len(spans) <= 1:
         for lo, hi in spans:
             work(lo, hi)
@@ -184,20 +185,8 @@ def pair_similarity(target: ClipMatrix, source: ClipMatrix,
     """
     if target.dim != source.dim:
         raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
-    if pooling is PoolingMode.MEAN:
-        block = kernels.mean_score_block(
-            _clip_sums(target.values)[None, :],
-            np.array([target.clip_count], dtype=np.intp),
-            _clip_sums(source.values)[None, :],
-            np.array([source.clip_count], dtype=np.intp),
-        )
-    else:
-        block = kernels.max_score_block(
-            target.values.astype(np.float64),
-            np.array([0, target.clip_count], dtype=np.intp),
-            source.values.astype(np.float64),
-            np.array([0, source.clip_count], dtype=np.intp),
-        )
+    block = _score_block(_video_side(target, pooling), 0, 1,
+                         _video_side(source, pooling), pooling)
     return float(block[0, 0])
 
 
@@ -205,7 +194,6 @@ def build_similarity_matrix(target: CorpusHandle, source: CorpusHandle,
                             pooling: PoolingMode = PoolingMode.MEAN,
                             tile: TileConfig = DEFAULT_TILE) -> SimilarityView:
     """Materialize the full P x N float32 score matrix."""
-    _check_dims(target, source)
     p, n = target.video_count, source.video_count
     if p * n * 4 > tile.max_dense_bytes:
         raise CapacityError(
@@ -213,15 +201,11 @@ def build_similarity_matrix(target: CorpusHandle, source: CorpusHandle,
             "use the streaming reducers instead"
         )
     matrix = np.empty((p, n), dtype=np.float32)
-    target_prep = _prepare_side(target.load_tile(0, p), pooling)
 
-    def work(lo: int, hi: int) -> None:
-        source_prep = _prepare_side(source.load_tile(lo, hi), pooling)
-        for r0, r1 in _row_chunks(p, tile.tile_rows):
-            block = _score_block(target_prep, r0, r1, source_prep, pooling)
-            matrix[r0:r1, lo:hi] = block.astype(np.float32)
+    def consume(lo: int, hi: int, r0: int, block32: np.ndarray) -> None:
+        matrix[r0:r0 + len(block32), lo:hi] = block32
 
-    _run_source_tiles(source, tile, work)
+    _score_blocks(target, source, pooling, tile, consume)
     return SimilarityView(target.video_ids(), source.video_ids(), matrix)
 
 
@@ -237,24 +221,18 @@ def stream_column_means(target: CorpusHandle, source: CorpusHandle,
     equals that reduction over the build_similarity_matrix matrix
     bit-for-bit.
     """
-    _check_dims(target, source)
     p = target.video_count
     if p == 0:
         raise ArgumentError("target corpus is empty")
-    target_prep = _prepare_side(target.load_tile(0, p), pooling)
-    means = np.zeros(source.video_count, dtype=np.float64)
+    sums = np.zeros(source.video_count, dtype=np.float64)
 
-    def work(lo: int, hi: int) -> None:
-        source_prep = _prepare_side(source.load_tile(lo, hi), pooling)
-        acc = np.zeros(hi - lo, dtype=np.float64)
-        for r0, r1 in _row_chunks(p, tile.tile_rows):
-            block32 = _score_block(target_prep, r0, r1, source_prep, pooling).astype(np.float32)
-            for row in block32:
-                acc += row
-        means[lo:hi] = acc / p
+    def consume(lo: int, hi: int, r0: int, block32: np.ndarray) -> None:
+        acc = sums[lo:hi]
+        for row in block32:
+            acc += row
 
-    _run_source_tiles(source, tile, work)
-    return source.video_ids(), means
+    _score_blocks(target, source, pooling, tile, consume)
+    return source.video_ids(), sums / p
 
 
 def _id_rank(ids: Sequence[str]) -> np.ndarray:
@@ -280,6 +258,26 @@ def _top_k(scores32: np.ndarray, cols: np.ndarray, rank: np.ndarray,
         tied = tied[np.argpartition(rank[cols[tied]], need - 1)[:need]]
     keep = np.concatenate((above, tied))
     return scores32[keep], cols[keep]
+
+
+@dataclass(frozen=True, eq=False)
+class RowTopK:
+    """Per-row top k of a P x N score matrix, as arrays.
+
+    Row j's entries are source_ids[cols[j, i]] with score scores[j, i]
+    (cols intp and scores float32, both P x k), sorted by descending score
+    with ties broken by ascending source id.
+    """
+
+    source_ids: Sequence[str]
+    cols: np.ndarray
+    scores: np.ndarray
+
+    def rows(self) -> list[list[tuple[str, float]]]:
+        """Each row as a list of (source_id, score) pairs."""
+        ids = self.source_ids
+        return [[(ids[c], s) for c, s in zip(cols, scores)]
+                for cols, scores in zip(self.cols.tolist(), self.scores.tolist())]
 
 
 class _RowTopK:
@@ -319,50 +317,39 @@ class _RowTopK:
                 np.concatenate((self.scores[j], scores)),
                 np.concatenate((self.cols[j], cols)), self.rank, self.k)
 
-    def result(self) -> list[list[tuple[str, float]]]:
-        rows = []
-        for scores, cols in zip(self.scores, self.cols):
-            order = np.lexsort((self.rank[cols], -scores))
-            rows.append([(self.ids[c], s)
-                         for c, s in zip(cols[order].tolist(), scores[order].tolist())])
-        return rows
+    def result(self) -> RowTopK:
+        """The kept entries, each row sorted. Every row holds exactly k of
+        them once all columns have been merged."""
+        scores = np.empty((len(self.scores), self.k), dtype=np.float32)
+        cols = np.empty((len(self.cols), self.k), dtype=np.intp)
+        # Row by row: one lexsort over all rows would need P x k temporaries
+        # on top of the kept entries, and k is 3c in a KNN pool search.
+        for j, (row_scores, row_cols) in enumerate(zip(self.scores, self.cols)):
+            order = np.lexsort((self.rank[row_cols], -row_scores))
+            scores[j], cols[j] = row_scores[order], row_cols[order]
+        return RowTopK(self.ids, cols, scores)
 
 
 def stream_row_topk(target: CorpusHandle, source: CorpusHandle,
                     pooling: PoolingMode, k: int,
-                    tile: TileConfig = DEFAULT_TILE
-                    ) -> list[list[tuple[str, float]]]:
+                    tile: TileConfig = DEFAULT_TILE) -> RowTopK:
     """Top-k scoring sources per target row, never materializing the matrix.
 
-    Each row holds min(k, N) (source_id, score) pairs sorted by descending
-    score, ties broken by ascending source_id.
+    Every row holds min(k, N) entries, sorted by descending score with ties
+    broken by ascending source_id.
     """
     if k < 1:
         raise ArgumentError("k must be >= 1")
-    _check_dims(target, source)
-    p = target.video_count
-    k = min(k, source.video_count)
-    target_prep = _prepare_side(target.load_tile(0, p), pooling)
-    reducer = _RowTopK(p, k, source.video_ids())
+    reducer = _RowTopK(target.video_count, min(k, source.video_count), source.video_ids())
     lock = threading.Lock()
 
-    def work(lo: int, hi: int) -> None:
-        source_prep = _prepare_side(source.load_tile(lo, hi), pooling)
-        for r0, r1 in _row_chunks(p, tile.tile_rows):
-            block32 = _score_block(target_prep, r0, r1, source_prep, pooling).astype(np.float32)
-            candidates = reducer.candidates(block32, lo)
-            with lock:
-                reducer.merge(r0, candidates)
+    def consume(lo: int, hi: int, r0: int, block32: np.ndarray) -> None:
+        candidates = reducer.candidates(block32, lo)
+        with lock:
+            reducer.merge(r0, candidates)
 
-    _run_source_tiles(source, tile, work)
+    _score_blocks(target, source, pooling, tile, consume)
     return reducer.result()
-
-
-def streaming_topk_provider(target: CorpusHandle, source: CorpusHandle,
-                            pooling: PoolingMode,
-                            tile: TileConfig = DEFAULT_TILE
-                            ) -> Callable[[int], list[list[tuple[str, float]]]]:
-    return lambda k: stream_row_topk(target, source, pooling, k, tile)
 
 
 def save_matrix(view: SimilarityView, path: str | Path) -> None:
@@ -398,16 +385,9 @@ def write_column_means(source_ids: Sequence[str], means: np.ndarray,
 
 
 def read_column_means(path: str | Path) -> tuple[list[str], np.ndarray]:
-    ids, means = [], []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ids.append(obj["source_id"])
-                means.append(float(obj["avg_sim"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{line_no}: bad column-mean line") from exc
-    return ids, np.array(means, dtype=np.float64)
+    def parse(line: str) -> tuple[str, float]:
+        obj = json_object(line)
+        return str_field(obj, "source_id"), float(obj["avg_sim"])
+
+    rows = read_lines(path, "column-mean", parse)
+    return [vid for vid, _ in rows], np.array([mean for _, mean in rows], dtype=np.float64)

@@ -49,7 +49,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,6 +65,8 @@ _CLIP_COUNT = struct.Struct("<I")
 
 SUBTITLE_SOURCES = ("human", "asr", "none")
 ROLES = ("source", "target")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -539,7 +541,8 @@ def read_manifest(path: str | Path) -> ManifestColumns:
         while lines := f.readlines(_CHUNK_BYTES):
             chunk = _parse_canonical(b"".join(lines))
             if chunk is None:
-                return _read_manifest_lines(path)
+                # Any valid manifest: one scanner call per line.
+                return ManifestColumns.from_entries(read_lines(path, "manifest", _manifest_row))
             ids += chunk[0]
             codes.append(_shard_codes(chunk[1], table))
             offsets.append(chunk[2])
@@ -579,9 +582,23 @@ def _decimal_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> n
     return np.add.reduceat(digits, np.cumsum(lens) - lens)
 
 
-def _read_manifest_lines(path: str | Path) -> ManifestColumns:
-    """read_manifest for any valid manifest: one scanner call per line."""
-    entries = []
+def _manifest_row(line: str) -> ManifestEntry:
+    obj = json_object(line)
+    row = (obj["video_id"], obj["shard"], obj["offset"], obj["clip_count"])
+    if tuple(map(type, row)) != (str, str, int, int):
+        raise TypeError("video_id and shard must be strings, "
+                        "offset and clip_count integers")
+    return ManifestEntry(*row)
+
+
+def read_lines(path: str | Path, what: str, parse: Callable[[str], T]) -> list[T]:
+    """parse(line) of every non-blank line of a UTF-8 text file, stripped.
+
+    A file that is not UTF-8 is a FormatError naming the file, and a line
+    that parse rejects with KeyError, TypeError or ValueError is one naming
+    path:line. Every JSON-lines reader of the package goes through here.
+    """
+    rows = []
     try:
         with open(path, "r", encoding="utf-8") as f:
             for line_no, line in enumerate(f, 1):
@@ -589,19 +606,31 @@ def _read_manifest_lines(path: str | Path) -> ManifestColumns:
                 if not line:
                     continue
                 try:
-                    obj, end = _scan_json(line, 0)
-                    if end != len(line):
-                        raise ValueError("extra data after the entry")
-                    row = (obj["video_id"], obj["shard"], obj["offset"], obj["clip_count"])
-                    if tuple(map(type, row)) != (str, str, int, int):
-                        raise TypeError("video_id and shard must be strings, "
-                                        "offset and clip_count integers")
-                except (StopIteration, KeyError, TypeError, ValueError) as exc:
-                    raise FormatError(f"{path}:{line_no}: bad manifest line") from exc
-                entries.append(ManifestEntry(*row))
+                    rows.append(parse(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise FormatError(f"{path}:{line_no}: bad {what} line") from exc
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: manifest is not valid UTF-8") from exc
-    return ManifestColumns.from_entries(entries)
+        raise FormatError(f"{path}: {what} file is not valid UTF-8") from exc
+    return rows
+
+
+def json_object(line: str) -> dict:
+    """The JSON value that makes up the whole line; ValueError otherwise."""
+    try:
+        obj, end = _scan_json(line, 0)
+    except StopIteration:
+        raise ValueError("not a JSON value") from None
+    if end != len(line):
+        raise ValueError("extra data after the JSON value")
+    return obj
+
+
+def str_field(obj: dict, key: str) -> str:
+    """obj[key], which must be a JSON string; TypeError otherwise."""
+    value = obj[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} must be a string")
+    return value
 
 
 def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
@@ -613,24 +642,19 @@ def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
 
 def read_metadata(path: str | Path) -> list[VideoMeta]:
     """Read a JSON-lines metadata file; ids must be unique."""
-    metas = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                meta = VideoMeta(obj["video_id"], obj["category"], obj["title"],
-                                 obj["subtitle_source"], float(obj["duration_s"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{line_no}: bad metadata line") from exc
-            if meta.video_id in seen:
-                raise DataError(f"{path}:{line_no}: duplicate video_id {meta.video_id!r}")
-            seen.add(meta.video_id)
-            metas.append(meta)
-    return metas
+
+    def parse(line: str) -> VideoMeta:
+        obj = json_object(line)
+        meta = VideoMeta(*(str_field(obj, key) for key in
+                           ("video_id", "category", "title", "subtitle_source")),
+                         float(obj["duration_s"]))
+        if meta.video_id in seen:
+            raise DataError(f"{path}: duplicate video_id {meta.video_id!r}")
+        seen.add(meta.video_id)
+        return meta
+
+    return read_lines(path, "metadata", parse)
 
 
 def write_metadata(metas: Sequence[VideoMeta], path: str | Path) -> None:
@@ -644,18 +668,14 @@ def write_metadata(metas: Sequence[VideoMeta], path: str | Path) -> None:
 
 def read_subtitles(path: str | Path) -> dict[str, list[Subtitle]]:
     """Read JSON-lines subtitles grouped by video, each group sorted by start time."""
+    def parse(line: str) -> tuple[str, Subtitle]:
+        obj = json_object(line)
+        return str_field(obj, "video_id"), Subtitle(
+            str_field(obj, "text"), float(obj["start_s"]), float(obj["end_s"]))
+
     groups: dict[str, list[Subtitle]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                sub = Subtitle(obj["text"], float(obj["start_s"]), float(obj["end_s"]))
-                groups.setdefault(obj["video_id"], []).append(sub)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{line_no}: bad subtitle line") from exc
+    for video_id, sub in read_lines(path, "subtitle", parse):
+        groups.setdefault(video_id, []).append(sub)
     for subs in groups.values():
         subs.sort(key=lambda s: s.start_s)
     return groups

@@ -8,6 +8,7 @@ import json
 import numpy as np
 
 from cupid import ArgumentError, ClipMatrix, CorpusHandle, PoolingMode, SimilarityView
+from cupid.similarity import RowTopK
 from cupid.store import ManifestEntry
 
 
@@ -56,8 +57,51 @@ def row_topk_from_matrix(view, k):
 
 
 def matrix_topk_provider(view):
-    """Adapter making a dense view usable as a curate_knn row-top-k provider."""
-    return lambda k: row_topk_from_matrix(view, k)
+    """A curate_knn row_topk callable over a dense view: each row fully
+    sorted by (score desc, id asc), then cut to its first k entries."""
+    def row_topk(k):
+        k = min(k, view.matrix.shape[1])
+        cols = np.array([sort_by_score_then_id(view.source_ids, row)[:k]
+                         for row in view.matrix], dtype=np.intp).reshape(-1, k)
+        return RowTopK(view.source_ids, cols, np.take_along_axis(view.matrix, cols, 1))
+    return row_topk
+
+
+def minimal_k_reference(rows, pool_target):
+    """Smallest prefix depth of (id, score) rows whose id union reaches
+    pool_target, with that union (id -> best score, a held score replaced
+    only by a larger one), walking depth by depth; the full depth and its
+    union if none does."""
+    best = {}
+    depth = max((len(r) for r in rows), default=0)
+    for k in range(1, depth + 1):
+        for row in rows:
+            if k <= len(row):
+                vid, score = row[k - 1]
+                if vid not in best or score > best[vid]:
+                    best[vid] = score
+        if len(best) >= pool_target:
+            return k, best
+    return depth, best
+
+
+def knn_pool_reference(view, pool_target):
+    """knn_candidate_pool over a dense view with the tuple rows and the
+    dict walk of minimal_k_reference: the same k schedule, and the pool
+    sorted by (score desc, id asc)."""
+    n = view.matrix.shape[1]
+    if n == 0:
+        return [], 0
+    fetch_k = min(max(8, pool_target), n)
+    while True:
+        k, union = minimal_k_reference(row_topk_from_matrix(view, fetch_k), pool_target)
+        if len(union) >= pool_target:
+            break
+        if fetch_k >= n:
+            k = n
+            break
+        fetch_k = min(fetch_k * 4, n)
+    return sorted(union.items(), key=lambda item: (-item[1], item[0])), k
 
 
 def column_means_from_matrix(view: SimilarityView) -> tuple[list[str], np.ndarray]:

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. The throughput test
 exercises the full 100k-video streaming path and takes the longest.
 """
+import functools
 import json
 import resource
 import time
@@ -41,7 +42,6 @@ from cupid.curation import (
     write_schedule,
 )
 from cupid.nce import gradient_check
-from cupid.similarity import streaming_topk_provider
 
 from helpers import (
     column_means_from_matrix,
@@ -91,7 +91,7 @@ def test_criterion_1_curation_oracle_equivalence():
 
         factor = float(rng.uniform(2.0, 4.0))
         pool_target = int(round(factor * c))
-        provider = streaming_topk_provider(target, source, pooling)
+        provider = functools.partial(stream_row_topk, target, source, pooling)
         pool, _ = knn_candidate_pool(provider, n, pool_target)
         assert {vid for vid, _ in pool} == _oracle_knn_pool(view, pool_target), \
             f"knn pool mismatch on trial {trial}"
@@ -124,7 +124,7 @@ def test_criterion_2_streaming_equals_dense_bitwise():
                 _, means = stream_column_means(target, source, pooling, tile)
                 assert (means == want_means).all(), (p, n, width, threads)
                 topk = stream_row_topk(target, source, pooling, k, tile)
-                assert topk == want_topk, (p, n, width, threads)
+                assert topk.rows() == want_topk, (p, n, width, threads)
                 checked += 1
     print(f"\nACCEPTANCE 2 PASS: streaming == dense bit-for-bit on {len(shapes)} "
           f"instances x {checked // len(shapes)} geometry/thread combos")
@@ -265,10 +265,10 @@ def test_criterion_6_nestedness_and_scale_invariance():
         s_ids, s_means = stream_column_means(target, scaled)
         for c in (15, 100, 200):
             assert set(curate_avg_sim(s_ids, s_means, c).video_ids()) == set(picks[c]), lam
-        base_knn = curate_knn(streaming_topk_provider(target, source, PoolingMode.MEAN),
-                              250, 40, 3.0, seed=77)
-        scaled_knn = curate_knn(streaming_topk_provider(target, scaled, PoolingMode.MEAN),
-                                250, 40, 3.0, seed=77)
+        base_knn = curate_knn(functools.partial(stream_row_topk, target, source,
+                                                PoolingMode.MEAN), 250, 40, 3.0, seed=77)
+        scaled_knn = curate_knn(functools.partial(stream_row_topk, target, scaled,
+                                                  PoolingMode.MEAN), 250, 40, 3.0, seed=77)
         assert set(base_knn.video_ids()) == set(scaled_knn.video_ids()), lam
         assert curate_heuristic(metas, rules).video_ids() == heuristic_before
     print("\nACCEPTANCE 6 PASS: avg_sim nested across c in {15,100,200}; selections "

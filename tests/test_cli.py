@@ -324,6 +324,104 @@ class TestBadManifest:
         assert _single_error(capsys) == {"error": "format", "message": str(got.value)}
 
 
+class TestBadTextInputs:
+    """Text inputs other than corpus manifests fail with one format line."""
+
+    HEURISTIC = ["curate", "--strategy", "heuristic", "--allowed-categories", "Food",
+                 "--vocabulary", "pasta"]
+
+    @staticmethod
+    def _metadata(path, video_id):
+        row = {"video_id": video_id, "category": "Food", "title": "pasta",
+               "subtitle_source": "human", "duration_s": 10.0}
+        path.write_text(json.dumps(row) + "\n")
+        return path
+
+    def test_metadata_that_is_not_utf8(self, tmp_path, capsys):
+        metadata = self._metadata(tmp_path / "meta.jsonl", "a")
+        metadata.write_bytes(metadata.read_bytes().replace(b"pasta", b"p\xffsta"))
+        out = tmp_path / "picked.jsonl"
+        assert main(self.HEURISTIC + ["--metadata", str(metadata), "--out", str(out)]) == 1
+        assert _single_error(capsys) == {
+            "error": "format", "message": f"{metadata}: metadata file is not valid UTF-8"}
+        assert not out.exists()
+
+    def test_metadata_id_that_is_not_a_string(self, tmp_path, capsys):
+        metadata = self._metadata(tmp_path / "meta.jsonl", 5)
+        out = tmp_path / "picked.jsonl"
+        assert main(self.HEURISTIC + ["--metadata", str(metadata), "--out", str(out)]) == 1
+        assert _single_error(capsys) == {
+            "error": "format", "message": f"{metadata}:1: bad metadata line"}
+        assert not out.exists()
+
+    def test_id_file_that_is_not_utf8(self, tmp_path, capsys):
+        metadata = self._metadata(tmp_path / "meta.jsonl", "a")
+        exclude = tmp_path / "downstream.txt"
+        exclude.write_bytes(b"s0003\ns\xff007\n")
+        out = tmp_path / "picked.jsonl"
+        assert main(self.HEURISTIC + ["--metadata", str(metadata), "--exclude-ids",
+                                      str(exclude), "--out", str(out)]) == 1
+        assert _single_error(capsys) == {
+            "error": "format", "message": f"{exclude}: id file is not valid UTF-8"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part", ["rows", "sidecar"])
+    def test_curation_manifest_that_is_not_utf8(self, tmp_path, capsys, part):
+        metadata = self._metadata(tmp_path / "meta.jsonl", "a")
+        ranked = tmp_path / "ranked.jsonl"
+        assert main(self.HEURISTIC + ["--metadata", str(metadata), "--out", str(ranked)]) == 0
+        bad, message = {
+            "rows": (ranked, f"{ranked}: manifest file is not valid UTF-8"),
+            "sidecar": (tmp_path / "ranked.jsonl.meta.json",
+                        f"{ranked}.meta.json: bad manifest sidecar"),
+        }[part]
+        bad.write_bytes(bad.read_bytes().replace(b'"heuristic"', b'"\xff"'))
+        out = tmp_path / "sched.jsonl"
+        assert main(["schedule", "--manifest", str(ranked), "--sizes", "1",
+                     "--steps", "10", "--out", str(out)]) == 1
+        assert _single_error(capsys) == {"error": "format", "message": message}
+        assert not out.exists()
+
+
+class TestTracedEntryPoints:
+    """perfbench/tracing.py wraps similarity.stream_row_topk and
+    curation.knn_candidate_pool as module attributes and reads k from the
+    fourth positional argument and len(pool) from the (pool, k) result. If
+    curate --strategy knn went around them, the benchmark's k and pool-size
+    metrics would read 0 without an error."""
+
+    def test_knn_curate_calls_both_through_the_modules(self, corpora, tmp_path,
+                                                       monkeypatch):
+        from cupid import curation, similarity
+
+        topk_calls, pool_results = [], []
+        row_topk, candidate_pool = similarity.stream_row_topk, curation.knn_candidate_pool
+
+        def traced_topk(*args, **kwargs):
+            topk_calls.append((args, kwargs))
+            return row_topk(*args, **kwargs)
+
+        def traced_pool(*args, **kwargs):
+            pool_results.append(candidate_pool(*args, **kwargs))
+            return pool_results[-1]
+
+        monkeypatch.setattr(similarity, "stream_row_topk", traced_topk)
+        monkeypatch.setattr(curation, "knn_candidate_pool", traced_pool)
+        src, tgt = corpora
+        out = tmp_path / "picked.jsonl"
+        assert main(["curate", "--strategy", "knn", "--capacity", "6",
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(out)]) == 0
+        assert topk_calls
+        for args, kwargs in topk_calls:
+            assert len(args) >= 4 and type(args[3]) is int and "k" not in kwargs
+        assert len(pool_results) == 1
+        pool, k = pool_results[0]
+        assert 1 <= k <= max(args[3] for args, _ in topk_calls)
+        sidecar = json.loads((tmp_path / "picked.jsonl.meta.json").read_text())
+        assert len(pool) == sidecar["config"]["pool_size"] == 18
+
+
 class TestConfigFile:
     def test_flags_win_over_config(self, corpora, tmp_path):
         src, tgt = corpora

@@ -1,6 +1,10 @@
 """Curation strategies, overlap exclusion, and the incremental schedule."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cupid import (
     ArgumentError,
@@ -27,7 +31,7 @@ from cupid.curation import (
 )
 from cupid.similarity import SimilarityView
 
-from helpers import matrix_topk_provider, sort_by_score_then_id
+from helpers import knn_pool_reference, matrix_topk_provider, sort_by_score_then_id
 
 
 class TestAvgSim:
@@ -157,6 +161,54 @@ class TestKnn:
         view = _fixture_view(rng)
         with pytest.raises(CapacityError):
             curate_knn(matrix_topk_provider(view), 20, c=21, expansion_factor=3.0, seed=0)
+
+
+def _signed(pool):
+    """Pool pairs with the sign of each score, so -0.0 and 0.0 differ."""
+    return [(vid, score, math.copysign(1.0, score)) for vid, score in pool]
+
+
+class TestKnnPoolArrays:
+    """knn_candidate_pool on RowTopK arrays against the dict walk over
+    (id, score) rows that it replaced (helpers.knn_pool_reference)."""
+
+    # Few distinct scores, both zeros among them: tie groups are large, so
+    # the depth that reaches the pool target often cuts through one.
+    LEVELS = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_dict_walk(self, data):
+        p = data.draw(st.integers(1, 6), label="targets")
+        n = data.draw(st.integers(1, 40), label="sources")
+        values = data.draw(st.lists(st.sampled_from(self.LEVELS),
+                                    min_size=p * n, max_size=p * n), label="scores")
+        # Ids not in column order, so ties by id are not ties by column.
+        perm = data.draw(st.permutations(range(n)), label="id order")
+        view = SimilarityView([f"t{j}" for j in range(p)], [f"s{i:02d}" for i in perm],
+                              np.array(values, dtype=np.float32).reshape(p, n))
+        # Targets above n make k grow to n.
+        pool_target = data.draw(st.integers(1, n + 8), label="pool target")
+        got_pool, got_k = knn_candidate_pool(matrix_topk_provider(view), n, pool_target)
+        want_pool, want_k = knn_pool_reference(view, pool_target)
+        assert got_k == want_k
+        assert _signed(got_pool) == _signed(want_pool)
+
+    def test_first_zero_met_is_kept(self):
+        # "a" is met as -0.0 in row 0, then as 0.0 in row 1 at the same depth.
+        view = SimilarityView(["t0", "t1"], ["a", "b"],
+                              np.array([[-0.0, -1.0], [0.0, -1.0]], dtype=np.float32))
+        pool, k = knn_candidate_pool(matrix_topk_provider(view), 2, 1)
+        assert k == 1
+        assert _signed(pool) == [("a", -0.0, -1.0)]
+        assert _signed(pool) == _signed(knn_pool_reference(view, 1)[0])
+
+    def test_single_row_reaches_n(self):
+        view = SimilarityView(["t0"], ["c", "a", "b"],
+                              np.array([[0.5, 0.5, 1.0]], dtype=np.float32))
+        pool, k = knn_candidate_pool(matrix_topk_provider(view), 3, 10)
+        assert k == 3
+        assert pool == [("b", 1.0), ("a", 0.5), ("c", 0.5)]
 
 
 def _meta(vid, category="Food and Entertaining", title="how to cook pasta",

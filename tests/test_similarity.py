@@ -231,7 +231,7 @@ class TestRowTopk:
     def test_k_equals_n_matches_dense_sort(self, rng):
         target = random_corpus(rng, "t", "target", 4, 3, 5)
         source = random_corpus(rng, "s", "source", 23, 3, 5)
-        rows = stream_row_topk(target, source, PoolingMode.MEAN, 23)
+        rows = stream_row_topk(target, source, PoolingMode.MEAN, 23).rows()
         dense = build_similarity_matrix(target, source)
         for j, row in enumerate(rows):
             order = sorted(range(23), key=lambda i: (-float(dense.matrix[j, i]),
@@ -246,7 +246,7 @@ class TestRowTopk:
                    for j in range(5)]
         rows = stream_row_topk(CorpusHandle.from_arrays("t", "target", targets),
                                CorpusHandle.from_arrays("s", "source", sources),
-                               PoolingMode.MEAN, 1)
+                               PoolingMode.MEAN, 1).rows()
         assert all(row[0][0] == "winner" for row in rows)
 
     def test_equal_scores_pick_smaller_id(self):
@@ -254,7 +254,7 @@ class TestRowTopk:
         target = CorpusHandle.from_arrays("t", "target", [ClipMatrix("t0", clip)])
         source = CorpusHandle.from_arrays("s", "source", [
             ClipMatrix("s-b", clip), ClipMatrix("s-a", clip)])
-        rows = stream_row_topk(target, source, PoolingMode.MEAN, 1)
+        rows = stream_row_topk(target, source, PoolingMode.MEAN, 1).rows()
         assert rows[0][0][0] == "s-a"
 
     @pytest.mark.parametrize("pooling", POOLINGS)
@@ -267,7 +267,7 @@ class TestRowTopk:
             for tile in (TileConfig(tile_cols=4, threads=4),
                          TileConfig(tile_cols=29),
                          TileConfig(tile_cols=1, tile_rows=2)):
-                assert stream_row_topk(target, source, pooling, k, tile) == want
+                assert stream_row_topk(target, source, pooling, k, tile).rows() == want
 
     def test_k_below_one_rejected(self, rng):
         target = random_corpus(rng, "t", "target", 2, 2, 4)
@@ -278,7 +278,7 @@ class TestRowTopk:
     def test_k_above_n_clamps(self, rng):
         target = random_corpus(rng, "t", "target", 2, 2, 4)
         source = random_corpus(rng, "s", "source", 3, 2, 4)
-        rows = stream_row_topk(target, source, PoolingMode.MEAN, 50)
+        rows = stream_row_topk(target, source, PoolingMode.MEAN, 50).rows()
         assert all(len(row) == 3 for row in rows)
 
 
@@ -292,7 +292,7 @@ def _reducer_topk(view, k):
     """The streaming reducer fed the whole dense matrix as one block."""
     reducer = _RowTopK(len(view.target_ids), min(k, len(view.source_ids)), view.source_ids)
     reducer.merge(0, reducer.candidates(view.matrix, 0))
-    return reducer.result()
+    return reducer.result().rows()
 
 
 class TestTopkTieOrder:
@@ -319,7 +319,7 @@ class TestTopkTieOrder:
             for tile_cols in (1, 3, 7, n):
                 for threads in (1, 4):
                     tile = TileConfig(tile_cols=tile_cols, tile_rows=2, threads=threads)
-                    assert stream_row_topk(target, source, pooling, k, tile) == want, \
+                    assert stream_row_topk(target, source, pooling, k, tile).rows() == want, \
                         (k, tile_cols, threads)
 
     def test_concurrent_merges_lose_nothing(self, rng):
@@ -334,7 +334,7 @@ class TestTopkTieOrder:
         sys.setswitchinterval(1e-6)
         try:
             got = stream_row_topk(target, source, PoolingMode.MEAN, 17,
-                                  TileConfig(tile_cols=1, threads=8))
+                                  TileConfig(tile_cols=1, threads=8)).rows()
         finally:
             sys.setswitchinterval(interval)
         assert got == want
@@ -361,8 +361,8 @@ class TestScaleEquivariance:
         source = random_corpus(rng, "s", "source", 31, 3, 5)
         scaled = _scaled_corpus(source, factor)
         for k in (1, 5):
-            before = stream_row_topk(target, source, pooling, k)
-            after = stream_row_topk(target, scaled, pooling, k)
+            before = stream_row_topk(target, source, pooling, k).rows()
+            after = stream_row_topk(target, scaled, pooling, k).rows()
             assert [[vid for vid, _ in row] for row in before] == \
                    [[vid for vid, _ in row] for row in after]
 

@@ -1,5 +1,6 @@
 """Shard format, corpus access, and clip-boundary utilities."""
 import json
+import re
 import struct
 from dataclasses import replace
 from itertools import zip_longest
@@ -36,6 +37,9 @@ from cupid.store import (
     write_metadata,
     write_subtitles,
 )
+
+from cupid.curation import read_curation_manifest, read_schedule
+from cupid.similarity import read_column_means
 
 from helpers import random_videos, read_manifest_lines
 
@@ -585,3 +589,80 @@ class TestJsonlFiles:
     def test_negative_span_rejected(self):
         with pytest.raises(DataError):
             Subtitle("x", 2.0, 1.0)
+
+
+def _metadata_row(i):
+    return {"video_id": f"v{i}", "category": "c", "title": "t",
+            "subtitle_source": "asr", "duration_s": 1.0}
+
+
+def _subtitle_row(i):
+    return {"video_id": "v", "start_s": float(i), "end_s": i + 1.0, "text": "x"}
+
+
+def _curation_row(i):
+    return {"rank": i, "video_id": f"v{i}", "score": 0.5, "strategy": "avg_sim"}
+
+
+def _schedule_row(i):
+    return {"stage": i, "manifest_path": f"stage{i}.jsonl", "steps": 10}
+
+
+def _column_mean_row(i):
+    return {"source_id": f"v{i}", "avg_sim": 0.5}
+
+
+# reader, row maker, the name its errors use, and the fields that must be strings
+_LINE_READERS = [
+    (read_metadata, _metadata_row, "metadata",
+     ["video_id", "category", "title", "subtitle_source"]),
+    (read_subtitles, _subtitle_row, "subtitle", ["video_id", "text"]),
+    (read_curation_manifest, _curation_row, "manifest", ["video_id", "strategy"]),
+    (read_schedule, _schedule_row, "schedule", ["manifest_path"]),
+    (read_column_means, _column_mean_row, "column-mean", ["source_id"]),
+]
+_STRING_FIELD_CASES = [(reader, row, what, field)
+                       for reader, row, what, fields in _LINE_READERS for field in fields]
+
+
+class TestLineReaders:
+    """Every JSON-lines reader: blank lines skipped, a non-UTF-8 file or a
+    bad line is a FormatError naming the file or path:line."""
+
+    @pytest.mark.parametrize("reader,row,what,fields", _LINE_READERS,
+                             ids=[what for _, _, what, _ in _LINE_READERS])
+    def test_blank_lines_skipped(self, tmp_path, reader, row, what, fields):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text(json.dumps(row(1)) + "\n" + json.dumps(row(2)) + "\n")
+        b.write_text("\n  \n" + json.dumps(row(1)) + "\n\n" + json.dumps(row(2)) + "\n\n")
+        assert repr(reader(b)) == repr(reader(a))
+
+    @pytest.mark.parametrize("reader,row,what,fields", _LINE_READERS,
+                             ids=[what for _, _, what, _ in _LINE_READERS])
+    def test_file_that_is_not_utf8(self, tmp_path, reader, row, what, fields):
+        path = tmp_path / "bad.jsonl"
+        line = json.dumps(row(2)).replace(fields[0] + '": "', fields[0] + '": "\udcff', 1)
+        path.write_bytes((json.dumps(row(1)) + "\n" + line + "\n")
+                         .encode("utf-8", "surrogateescape"))
+        with pytest.raises(FormatError) as got:
+            reader(path)
+        assert str(got.value) == f"{path}: {what} file is not valid UTF-8"
+
+    @pytest.mark.parametrize("reader,row,what,field", _STRING_FIELD_CASES,
+                             ids=[f"{what}-{field}" for _, _, what, field in _STRING_FIELD_CASES])
+    @pytest.mark.parametrize("bad", [5, None, ["x"]], ids=["int", "null", "list"])
+    def test_string_field_that_is_not_a_string(self, tmp_path, reader, row, what, field,
+                                               bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row(1)) + "\n" + json.dumps(dict(row(2), **{field: bad}))
+                        + "\n")
+        with pytest.raises(FormatError) as got:
+            reader(path)
+        assert str(got.value) == f"{path}:2: bad {what} line"
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", '{"video_id": "a"} x', "nope"])
+    def test_line_that_is_not_one_object(self, tmp_path, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(_metadata_row(1)) + "\n" + text + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: bad metadata line$"):
+            read_metadata(path)
