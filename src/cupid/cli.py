@@ -115,16 +115,9 @@ def _publish_single(out: Path, write_fn) -> list[Path]:
 
 
 def _tile_config(args) -> similarity.TileConfig:
-    kwargs = {}
-    if args.tile_rows is not None:
-        kwargs["tile_rows"] = args.tile_rows
-    if args.tile_cols is not None:
-        kwargs["tile_cols"] = args.tile_cols
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
-    if getattr(args, "max_dense_bytes", None) is not None:
-        kwargs["max_dense_bytes"] = args.max_dense_bytes
-    return similarity.TileConfig(**kwargs)
+    kwargs = {key: getattr(args, key, None)
+              for key in ("tile_cols", "threads", "max_dense_bytes")}
+    return similarity.TileConfig(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def _open_corpora(args) -> tuple[store.CorpusHandle, store.CorpusHandle]:
@@ -426,10 +419,8 @@ def cmd_stats(args) -> dict:
 def _add_tile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
                    help="worker thread cap (results are identical for any value)")
-    p.add_argument("--tile-rows", type=int, default=None,
-                   help="target rows per kernel block")
     p.add_argument("--tile-cols", type=int, default=None,
-                   help="source videos per streamed tile (default 4096)")
+                   help="source videos per score block (default 4096)")
     p.add_argument("--max-dense-bytes", type=int, default=None,
                    help="memory budget for materialized matrices")
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, CapacityError, DataError, FormatError
 from .similarity import PoolingMode, RowTopK, _id_rank
-from .store import VideoMeta, json_object, read_lines, str_field
+from .store import VideoMeta, int_field, json_object, number_field, read_lines, str_field
 
 STRATEGIES = ("avg_sim", "knn", "heuristic")
 
@@ -332,7 +332,8 @@ def read_curation_manifest(path: str | Path) -> CurationManifest:
 
     def parse(line: str) -> tuple[CurationEntry, str]:
         obj = json_object(line)
-        entry = CurationEntry(int(obj["rank"]), str_field(obj, "video_id"), obj["score"])
+        score = None if obj["score"] is None else number_field(obj, "score")
+        entry = CurationEntry(int_field(obj, "rank"), str_field(obj, "video_id"), score)
         return entry, str_field(obj, "strategy")
 
     rows = read_lines(path, "manifest", parse)
@@ -343,12 +344,16 @@ def read_curation_manifest(path: str | Path) -> CurationManifest:
     excluded = 0
     if sidecar_path.exists():
         try:
-            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-            strategy = sidecar.get("strategy", strategy)
-        except (ValueError, AttributeError) as exc:  # not UTF-8, not JSON, not an object
+            # defaults first: a sidecar that is not an object fails the merge
+            sidecar = {"config": {}, "excluded_count": 0,
+                       **json.loads(sidecar_path.read_text(encoding="utf-8"))}
+            if "strategy" in sidecar:
+                strategy = str_field(sidecar, "strategy")
+            config_echo, excluded = sidecar["config"], int_field(sidecar, "excluded_count")
+            if type(config_echo) is not dict:
+                raise TypeError("config must be an object")
+        except (ValueError, TypeError) as exc:  # not UTF-8, not JSON, a field of the wrong type
             raise FormatError(f"{sidecar_path}: bad manifest sidecar") from exc
-        config_echo = sidecar.get("config", {})
-        excluded = sidecar.get("excluded_count", 0)
     if strategy is None:
         raise FormatError(f"{path}: cannot determine strategy (empty manifest, no sidecar)")
     return CurationManifest(strategy, entries, config_echo, excluded)
@@ -368,6 +373,6 @@ def write_schedule(schedule: StagedSchedule, manifest_paths: Sequence[str | Path
 def read_schedule(path: str | Path) -> list[tuple[int, str, int]]:
     def parse(line: str) -> tuple[int, str, int]:
         obj = json_object(line)
-        return int(obj["stage"]), str_field(obj, "manifest_path"), int(obj["steps"])
+        return int_field(obj, "stage"), str_field(obj, "manifest_path"), int_field(obj, "steps")
 
     return read_lines(path, "schedule", parse)

@@ -16,8 +16,9 @@ index order. Consequently dense and streaming paths agree bit-for-bit and
 results are independent of tile geometry and worker count.
 
 All three consumers take their float32 blocks from one helper,
-_score_blocks. stream_row_topk returns a RowTopK: P x k arrays of source
-indices and scores, each row sorted by (score desc, source id asc).
+_score_blocks: one P x tile_cols block per source tile. stream_row_topk
+returns a RowTopK: P x k arrays of source indices and scores, each row
+sorted by (score desc, source id asc).
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ArgumentError, CapacityError, FormatError, SchemaError
-from .store import ClipMatrix, CorpusHandle, _Tile, json_object, read_lines, str_field
+from .store import (ClipMatrix, CorpusHandle, _Tile, json_object, number_field, read_lines,
+                    str_field)
 
 MATRIX_MAGIC = b"CPDK"
 MATRIX_VERSION = 1
@@ -57,18 +59,17 @@ class PoolingMode(enum.Enum):
 class TileConfig:
     """Tiling, threading, and memory limits for kernel evaluation.
 
-    Tile geometry and thread count never change results, only peak memory and
-    wall time. max_dense_bytes caps build_similarity_matrix allocations.
+    Each tile of tile_cols source videos is scored against all P targets in
+    one kernel call: a P x tile_cols float64 block (and its float32 copy)
+    per thread. Tile width and thread count never change results, only peak
+    memory and wall time. max_dense_bytes caps build_similarity_matrix.
     """
 
-    tile_rows: int | None = None
     tile_cols: int = 4096
     threads: int = 1
     max_dense_bytes: int = 2 * 1024 ** 3
 
     def __post_init__(self):
-        if self.tile_rows is not None and self.tile_rows < 1:
-            raise ArgumentError("tile_rows must be >= 1")
         if self.tile_cols < 1:
             raise ArgumentError("tile_cols must be >= 1")
         if self.threads < 1:
@@ -105,64 +106,43 @@ def _segment_clip_sums(clips32: np.ndarray, offsets: np.ndarray,
     return acc
 
 
-@dataclass
-class _SidePrep:
-    """Kernel-ready arrays for one side of the score computation."""
-
-    counts: np.ndarray              # intp (n,)
-    sums: np.ndarray | None         # float64 (n, d), mean pooling
-    clips: np.ndarray | None        # float64 (total_clips, d), max pooling
-    offsets: np.ndarray | None      # intp (n+1,), max pooling
-
-    def row_args(self, r0: int, r1: int) -> tuple:
-        if self.sums is not None:
-            return self.sums[r0:r1], self.counts[r0:r1]
-        lo, hi = int(self.offsets[r0]), int(self.offsets[r1])
-        return (np.ascontiguousarray(self.clips[lo:hi]),
-                np.ascontiguousarray(self.offsets[r0:r1 + 1] - lo))
-
-
-def _prepare_side(tile, pooling: PoolingMode) -> _SidePrep:
+def _prepare_side(tile: _Tile, pooling: PoolingMode) -> tuple[np.ndarray, np.ndarray]:
+    """A side's kernel arguments: (float64 clip sums, counts) or (float64 clips, offsets)."""
     if pooling is PoolingMode.MEAN:
-        sums = _segment_clip_sums(tile.clips, tile.offsets, tile.counts)
-        return _SidePrep(tile.counts, sums, None, None)
-    return _SidePrep(tile.counts, None, tile.clips.astype(np.float64), tile.offsets)
+        return _segment_clip_sums(tile.clips, tile.offsets, tile.counts), tile.counts
+    return tile.clips.astype(np.float64), tile.offsets
 
 
-def _video_side(video: ClipMatrix, pooling: PoolingMode) -> _SidePrep:
+def _video_side(video: ClipMatrix, pooling: PoolingMode) -> tuple[np.ndarray, np.ndarray]:
     count = video.clip_count
     return _prepare_side(_Tile([video.video_id], np.array([count], dtype=np.intp),
                                np.array([0, count], dtype=np.intp), video.values), pooling)
 
 
-def _score_block(target_prep: _SidePrep, r0: int, r1: int,
-                 source_prep: _SidePrep, pooling: PoolingMode) -> np.ndarray:
-    rows = target_prep.row_args(r0, r1)
-    if pooling is PoolingMode.MEAN:
-        return kernels.mean_score_block(*rows, source_prep.sums, source_prep.counts)
-    return kernels.max_score_block(*rows, source_prep.clips, source_prep.offsets)
+def _score_block(target_side: tuple, source_side: tuple, pooling: PoolingMode) -> np.ndarray:
+    kernel = kernels.mean_score_block if pooling is PoolingMode.MEAN else kernels.max_score_block
+    return kernel(*target_side, *source_side)
 
 
 def _score_blocks(target: CorpusHandle, source: CorpusHandle, pooling: PoolingMode,
                   tile: TileConfig,
-                  consume: Callable[[int, int, int, np.ndarray], None]) -> None:
-    """Call consume(lo, hi, r0, block32) with every float32 score block:
-    source videos [lo, hi) against target rows r0, r0 + 1, ....
+                  consume: Callable[[int, int, np.ndarray], None]) -> None:
+    """Call consume(lo, hi, block32) with the float32 P x (hi - lo) score
+    block of every source tile [lo, hi) against all target videos.
 
-    Source tiles of tile.tile_cols videos may run on tile.threads threads,
-    but each tile's blocks come from one thread, in row order.
+    One kernel call per tile of tile.tile_cols source videos; tiles may run
+    on tile.threads threads. An empty target side makes no call.
     """
     p, n = target.video_count, source.video_count
     if p and n and target.dim != source.dim:
         raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
-    target_prep = _prepare_side(target.load_tile(0, p), pooling)
-    step = tile.tile_rows or max(p, 1)
+    if p == 0:
+        return
+    target_side = _prepare_side(target.load_tile(0, p), pooling)
 
     def work(lo: int, hi: int) -> None:
-        source_prep = _prepare_side(source.load_tile(lo, hi), pooling)
-        for r0 in range(0, p, step):
-            block = _score_block(target_prep, r0, min(r0 + step, p), source_prep, pooling)
-            consume(lo, hi, r0, block.astype(np.float32))
+        source_side = _prepare_side(source.load_tile(lo, hi), pooling)
+        consume(lo, hi, _score_block(target_side, source_side, pooling).astype(np.float32))
 
     spans = [(lo, min(lo + tile.tile_cols, n)) for lo in range(0, n, tile.tile_cols)]
     if tile.threads <= 1 or len(spans) <= 1:
@@ -185,8 +165,7 @@ def pair_similarity(target: ClipMatrix, source: ClipMatrix,
     """
     if target.dim != source.dim:
         raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
-    block = _score_block(_video_side(target, pooling), 0, 1,
-                         _video_side(source, pooling), pooling)
+    block = _score_block(_video_side(target, pooling), _video_side(source, pooling), pooling)
     return float(block[0, 0])
 
 
@@ -202,8 +181,8 @@ def build_similarity_matrix(target: CorpusHandle, source: CorpusHandle,
         )
     matrix = np.empty((p, n), dtype=np.float32)
 
-    def consume(lo: int, hi: int, r0: int, block32: np.ndarray) -> None:
-        matrix[r0:r0 + len(block32), lo:hi] = block32
+    def consume(lo: int, hi: int, block32: np.ndarray) -> None:
+        matrix[:, lo:hi] = block32
 
     _score_blocks(target, source, pooling, tile, consume)
     return SimilarityView(target.video_ids(), source.video_ids(), matrix)
@@ -226,7 +205,7 @@ def stream_column_means(target: CorpusHandle, source: CorpusHandle,
         raise ArgumentError("target corpus is empty")
     sums = np.zeros(source.video_count, dtype=np.float64)
 
-    def consume(lo: int, hi: int, r0: int, block32: np.ndarray) -> None:
+    def consume(lo: int, hi: int, block32: np.ndarray) -> None:
         acc = sums[lo:hi]
         for row in block32:
             acc += row
@@ -303,9 +282,9 @@ class _RowTopK:
         cols = np.arange(col0, col0 + block32.shape[1])
         return [_top_k(row, cols, self.rank, self.k) for row in block32]
 
-    def merge(self, r0: int, candidates: list[tuple]) -> None:
-        """Fold candidates() of rows r0, r0+1, ... into the kept entries."""
-        for j, (scores, cols) in enumerate(candidates, r0):
+    def merge(self, candidates: list[tuple]) -> None:
+        """Fold candidates() of every row into the kept entries."""
+        for j, (scores, cols) in enumerate(candidates):
             if len(self.scores[j]) == self.k:
                 # A full row admits only scores >= its worst kept score
                 # (an equal score with a smaller id still wins).
@@ -343,10 +322,10 @@ def stream_row_topk(target: CorpusHandle, source: CorpusHandle,
     reducer = _RowTopK(target.video_count, min(k, source.video_count), source.video_ids())
     lock = threading.Lock()
 
-    def consume(lo: int, hi: int, r0: int, block32: np.ndarray) -> None:
+    def consume(lo: int, hi: int, block32: np.ndarray) -> None:
         candidates = reducer.candidates(block32, lo)
         with lock:
-            reducer.merge(r0, candidates)
+            reducer.merge(candidates)
 
     _score_blocks(target, source, pooling, tile, consume)
     return reducer.result()
@@ -387,7 +366,7 @@ def write_column_means(source_ids: Sequence[str], means: np.ndarray,
 def read_column_means(path: str | Path) -> tuple[list[str], np.ndarray]:
     def parse(line: str) -> tuple[str, float]:
         obj = json_object(line)
-        return str_field(obj, "source_id"), float(obj["avg_sim"])
+        return str_field(obj, "source_id"), number_field(obj, "avg_sim")
 
     rows = read_lines(path, "column-mean", parse)
     return [vid for vid, _ in rows], np.array([mean for _, mean in rows], dtype=np.float64)

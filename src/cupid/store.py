@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import mmap
 import re
 import struct
@@ -193,13 +194,7 @@ def ingest_shard(stream: BinaryIO | bytes, expected_dim: int,
     if expected_dim <= 0:
         raise ArgumentError("expected_dim must be positive")
     data = stream if isinstance(stream, (bytes, bytearray, memoryview)) else stream.read()
-    if len(data) < _HEADER.size:
-        raise FormatError(f"shard {shard_name!r} shorter than header")
-    magic, version, dim, video_count = _HEADER.unpack_from(data, 0)
-    if magic != SHARD_MAGIC:
-        raise FormatError(f"shard {shard_name!r}: bad magic {magic!r}")
-    if version != SHARD_VERSION:
-        raise FormatError(f"shard {shard_name!r}: unsupported version {version}")
+    dim, video_count = read_shard_header(data, shard_name)
     if video_count > 0 and dim != expected_dim:
         raise SchemaError(f"shard {shard_name!r} has dim {dim}, expected {expected_dim}")
     entries = []
@@ -217,15 +212,16 @@ def ingest_shard(stream: BinaryIO | bytes, expected_dim: int,
     return entries
 
 
-def read_shard_header(buf) -> tuple[int, int]:
-    """Return (dim, video_count) from raw shard bytes."""
+def read_shard_header(buf, shard_name: str) -> tuple[int, int]:
+    """Return (dim, video_count) from raw shard bytes; a bad header is a
+    FormatError naming the shard."""
     if len(buf) < _HEADER.size:
-        raise FormatError("shard shorter than header")
+        raise FormatError(f"shard {shard_name!r} shorter than header")
     magic, version, dim, video_count = _HEADER.unpack_from(buf, 0)
     if magic != SHARD_MAGIC:
-        raise FormatError(f"bad magic {bytes(magic)!r}")
+        raise FormatError(f"shard {shard_name!r}: bad magic {magic!r}")
     if version != SHARD_VERSION:
-        raise FormatError(f"unsupported shard version {version}")
+        raise FormatError(f"shard {shard_name!r}: unsupported version {version}")
     return dim, video_count
 
 
@@ -464,8 +460,10 @@ class CorpusHandle:
             if not shard_path.exists():
                 raise NotFoundError(f"shard file {shard_path} missing")
             with open(shard_path, "rb") as f:
-                buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            shard_dim, _ = read_shard_header(buf)
+                # mmap rejects an empty file, which read_shard_header reports as short
+                empty = f.seek(0, io.SEEK_END) == 0
+                buf = b"" if empty else mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            shard_dim, _ = read_shard_header(buf, shard_name)
             if shard_dim != 0:
                 if dim is None:
                     dim = shard_dim
@@ -595,8 +593,9 @@ def read_lines(path: str | Path, what: str, parse: Callable[[str], T]) -> list[T
     """parse(line) of every non-blank line of a UTF-8 text file, stripped.
 
     A file that is not UTF-8 is a FormatError naming the file, and a line
-    that parse rejects with KeyError, TypeError or ValueError is one naming
-    path:line. Every JSON-lines reader of the package goes through here.
+    that parse rejects with KeyError, TypeError, ValueError or OverflowError
+    (an integer too large for a float) is one naming path:line. Every
+    JSON-lines reader of the package goes through here.
     """
     rows = []
     try:
@@ -607,7 +606,7 @@ def read_lines(path: str | Path, what: str, parse: Callable[[str], T]) -> list[T
                     continue
                 try:
                     rows.append(parse(line))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise FormatError(f"{path}:{line_no}: bad {what} line") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {what} file is not valid UTF-8") from exc
@@ -633,6 +632,25 @@ def str_field(obj: dict, key: str) -> str:
     return value
 
 
+def int_field(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer; TypeError otherwise."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer")
+    return value
+
+
+def number_field(obj: dict, key: str, finite: bool = False) -> float:
+    """obj[key] as a float; it must be a JSON number (not a bool), and not
+    NaN or infinite if finite is set. TypeError or ValueError otherwise."""
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite")
+    return float(value)
+
+
 def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for e in entries:
@@ -648,7 +666,7 @@ def read_metadata(path: str | Path) -> list[VideoMeta]:
         obj = json_object(line)
         meta = VideoMeta(*(str_field(obj, key) for key in
                            ("video_id", "category", "title", "subtitle_source")),
-                         float(obj["duration_s"]))
+                         number_field(obj, "duration_s", finite=True))
         if meta.video_id in seen:
             raise DataError(f"{path}: duplicate video_id {meta.video_id!r}")
         seen.add(meta.video_id)
@@ -671,7 +689,8 @@ def read_subtitles(path: str | Path) -> dict[str, list[Subtitle]]:
     def parse(line: str) -> tuple[str, Subtitle]:
         obj = json_object(line)
         return str_field(obj, "video_id"), Subtitle(
-            str_field(obj, "text"), float(obj["start_s"]), float(obj["end_s"]))
+            str_field(obj, "text"), number_field(obj, "start_s", finite=True),
+            number_field(obj, "end_s", finite=True))
 
     groups: dict[str, list[Subtitle]] = {}
     for video_id, sub in read_lines(path, "subtitle", parse):

@@ -382,6 +382,23 @@ class TestBadTextInputs:
         assert _single_error(capsys) == {"error": "format", "message": message}
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, bad", [
+        ("strategy", 7), ("strategy", None), ("config", 5), ("config", ["x"]),
+        ("excluded_count", "0"), ("excluded_count", True), ("excluded_count", 1.5),
+    ])
+    def test_curation_sidecar_field_of_the_wrong_type(self, tmp_path, capsys, field, bad):
+        metadata = self._metadata(tmp_path / "meta.jsonl", "a")
+        ranked = tmp_path / "ranked.jsonl"
+        assert main(self.HEURISTIC + ["--metadata", str(metadata), "--out", str(ranked)]) == 0
+        sidecar = tmp_path / "ranked.jsonl.meta.json"
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **{field: bad})))
+        out = tmp_path / "sched.jsonl"
+        assert main(["schedule", "--manifest", str(ranked), "--sizes", "1",
+                     "--steps", "10", "--out", str(out)]) == 1
+        assert _single_error(capsys) == {
+            "error": "format", "message": f"{sidecar}: bad manifest sidecar"}
+        assert not out.exists()
+
 
 class TestTracedEntryPoints:
     """perfbench/tracing.py wraps similarity.stream_row_topk and

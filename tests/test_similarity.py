@@ -172,8 +172,8 @@ class TestDenseMatrix:
             target, source, pooling, TileConfig(tile_cols=37)).matrix
         for tile in (TileConfig(tile_cols=1),
                      TileConfig(tile_cols=7, threads=4),
-                     TileConfig(tile_cols=5, tile_rows=2, threads=8),
-                     TileConfig(tile_cols=37, tile_rows=1)):
+                     TileConfig(tile_cols=5, threads=8),
+                     TileConfig(tile_cols=37)):
             got = build_similarity_matrix(target, source, pooling, tile).matrix
             assert (got == baseline).all()
 
@@ -209,7 +209,7 @@ class TestColumnMeans:
         dense = build_similarity_matrix(target, source, pooling)
         _, want = column_means_from_matrix(dense)
         for tile in (TileConfig(tile_cols=1), TileConfig(tile_cols=7, threads=4),
-                     TileConfig(tile_cols=41, tile_rows=2, threads=8)):
+                     TileConfig(tile_cols=41, threads=8)):
             _, got = stream_column_means(target, source, pooling, tile)
             assert (got == want).all()
 
@@ -266,7 +266,7 @@ class TestRowTopk:
             want = row_topk_from_matrix(dense, k)
             for tile in (TileConfig(tile_cols=4, threads=4),
                          TileConfig(tile_cols=29),
-                         TileConfig(tile_cols=1, tile_rows=2)):
+                         TileConfig(tile_cols=1)):
                 assert stream_row_topk(target, source, pooling, k, tile).rows() == want
 
     def test_k_below_one_rejected(self, rng):
@@ -282,6 +282,31 @@ class TestRowTopk:
         assert all(len(row) == 3 for row in rows)
 
 
+class TestEmptyCorpora:
+    """An empty side scores nothing: no kernel call, and the result keeps
+    the shape of the other side."""
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    @pytest.mark.parametrize("p, n", [(0, 5), (3, 0), (0, 0)])
+    def test_matrix_and_topk_shapes(self, rng, monkeypatch, pooling, p, n):
+        target = CorpusHandle.from_arrays("t", "target", random_videos(rng, "t", p, 3, 4))
+        source = CorpusHandle.from_arrays("s", "source", random_videos(rng, "s", n, 3, 4))
+
+        def no_call(*args):
+            raise AssertionError("an empty side must not reach the kernel")
+
+        monkeypatch.setattr(kernels, "mean_score_block", no_call)
+        monkeypatch.setattr(kernels, "max_score_block", no_call)
+        for tile in (TileConfig(), TileConfig(tile_cols=2, threads=4)):
+            view = build_similarity_matrix(target, source, pooling, tile)
+            assert view.matrix.shape == (p, n) and view.matrix.dtype == np.float32
+            assert (len(view.target_ids), len(view.source_ids)) == (p, n)
+            for k in (1, 3, 9):
+                topk = stream_row_topk(target, source, pooling, k, tile)
+                assert topk.cols.shape == topk.scores.shape == (p, min(k, n))
+                assert topk.rows() == [[] for _ in range(p)]
+
+
 def _quantized_videos(rng, ids, dim):
     """One or two clips per video drawn from {-1, 0, 1}, so scores tie often."""
     return [ClipMatrix(vid, rng.integers(-1, 2, size=(int(rng.integers(1, 3)), dim))
@@ -291,7 +316,7 @@ def _quantized_videos(rng, ids, dim):
 def _reducer_topk(view, k):
     """The streaming reducer fed the whole dense matrix as one block."""
     reducer = _RowTopK(len(view.target_ids), min(k, len(view.source_ids)), view.source_ids)
-    reducer.merge(0, reducer.candidates(view.matrix, 0))
+    reducer.merge(reducer.candidates(view.matrix, 0))
     return reducer.result().rows()
 
 
@@ -318,7 +343,7 @@ class TestTopkTieOrder:
             assert _reducer_topk(dense, k) == want
             for tile_cols in (1, 3, 7, n):
                 for threads in (1, 4):
-                    tile = TileConfig(tile_cols=tile_cols, tile_rows=2, threads=threads)
+                    tile = TileConfig(tile_cols=tile_cols, threads=threads)
                     assert stream_row_topk(target, source, pooling, k, tile).rows() == want, \
                         (k, tile_cols, threads)
 

@@ -174,6 +174,20 @@ class TestCorpusHandle:
         for v in videos:
             assert (reopened.load_video(v.video_id).values == v.values).all()
 
+    @pytest.mark.parametrize("header, message", [
+        (b"NOPE" + bytes(10), "bad magic b'NOPE'"),
+        (struct.pack("<4sHII", b"CPDE", 9, 4, 0), "unsupported version 9"),
+        (b"CPDE", "shorter than header"),
+        (b"", "shorter than header"),
+    ], ids=["magic", "version", "short", "empty"])
+    def test_open_names_the_shard_with_a_bad_header(self, rng, tmp_path, header, message):
+        build_corpus(random_videos(rng, "v", 4, 2, 4), tmp_path, "corp", videos_per_shard=2)
+        bad = sorted(tmp_path.glob("*.shard"))[1]
+        bad.write_bytes(header)
+        with pytest.raises(FormatError) as got:
+            CorpusHandle.open(tmp_path / "corp.manifest.jsonl", "source")
+        assert repr(bad.name) in str(got.value) and message in str(got.value)
+
     def test_load_tile_stacks_in_manifest_order(self, rng, tmp_path, monkeypatch):
         videos = random_videos(rng, "v", 6, 3, 4)
         handles = [CorpusHandle.from_arrays("c", "source", videos),
@@ -624,6 +638,22 @@ _LINE_READERS = [
 _STRING_FIELD_CASES = [(reader, row, what, field)
                        for reader, row, what, fields in _LINE_READERS for field in fields]
 
+_NAN, _INF, _HUGE = float("nan"), float("inf"), 10 ** 400  # _HUGE overflows a float
+# reader, row maker, the name its errors use, a numeric field and its bad values
+_NUMBER_FIELD_CASES = [
+    (read_metadata, _metadata_row, "metadata", "duration_s",
+     ["10", True, None, _NAN, _INF, _HUGE]),
+    (read_subtitles, _subtitle_row, "subtitle", "start_s", ["1", True, None, _NAN, -_INF]),
+    (read_subtitles, _subtitle_row, "subtitle", "end_s", ["1", True, None, _NAN, _INF]),
+    (read_curation_manifest, _curation_row, "manifest", "rank", [1.9, 2.0, "1", True, None]),
+    (read_curation_manifest, _curation_row, "manifest", "score", ["high", True, [0.5]]),
+    (read_schedule, _schedule_row, "schedule", "stage", [2.0, "2", True, None]),
+    (read_schedule, _schedule_row, "schedule", "steps", [7.5, "7", False, None]),
+    (read_column_means, _column_mean_row, "column-mean", "avg_sim", ["0.5", True, None, _HUGE]),
+]
+_BAD_NUMBERS = [(reader, row, what, field, bad)
+                for reader, row, what, field, bads in _NUMBER_FIELD_CASES for bad in bads]
+
 
 class TestLineReaders:
     """Every JSON-lines reader: blank lines skipped, a non-UTF-8 file or a
@@ -659,6 +689,29 @@ class TestLineReaders:
         with pytest.raises(FormatError) as got:
             reader(path)
         assert str(got.value) == f"{path}:2: bad {what} line"
+
+    @pytest.mark.parametrize("reader,row,what,field,bad", _BAD_NUMBERS,
+                             ids=[f"{what}-{field}-{bad!r:.12}"
+                                  for _, _, what, field, bad in _BAD_NUMBERS])
+    def test_numeric_field_of_the_wrong_type(self, tmp_path, reader, row, what, field, bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row(1)) + "\n" + json.dumps(dict(row(2), **{field: bad}))
+                        + "\n")
+        with pytest.raises(FormatError) as got:
+            reader(path)
+        assert str(got.value) == f"{path}:2: bad {what} line"
+
+    def test_numeric_fields_take_json_numbers(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        path.write_text(json.dumps(dict(_metadata_row(1), duration_s=10)) + "\n")
+        assert read_metadata(path)[0].duration_s == 10.0
+        path.write_text(json.dumps(dict(_subtitle_row(1), start_s=1, end_s=2)) + "\n")
+        assert [(s.start_s, s.end_s) for s in read_subtitles(path)["v"]] == [(1.0, 2.0)]
+        path.write_text(json.dumps(dict(_curation_row(1), score=None)) + "\n"
+                        + json.dumps(dict(_curation_row(2), score=-1)) + "\n")
+        assert [e.score for e in read_curation_manifest(path).entries] == [None, -1.0]
+        path.write_text(json.dumps(dict(_column_mean_row(1), avg_sim=_NAN)) + "\n")
+        assert np.isnan(read_column_means(path)[1][0])
 
     @pytest.mark.parametrize("text", ["{", "[1, 2]", '{"video_id": "a"} x', "nope"])
     def test_line_that_is_not_one_object(self, tmp_path, text):
