@@ -264,9 +264,14 @@ def cmd_curate(args) -> dict:
             capacity_c=args.capacity, strategy=strategy,
             expansion_factor=args.expansion_factor, seed=args.seed, pooling=pooling)
         if strategy == "avg_sim":
-            ids, means = similarity.stream_column_means(target, source, pooling, tile)
+            ids, means = similarity.stream_column_means(target, source, pooling, tile,
+                                                        top=args.capacity)
+            scored = len(ids)
+            log.info("avg-sim: %d sources, capacity %d, %d scored exactly",
+                     source.video_count, args.capacity, scored)
             manifest = curation.curate_avg_sim(ids, means, args.capacity, config)
         else:
+            scored = source.video_count
             # Read from the module on each run, so a wrapper installed there is called.
             row_topk = functools.partial(similarity.stream_row_topk, target, source,
                                          pooling, tile=tile)
@@ -289,6 +294,7 @@ def cmd_curate(args) -> dict:
     if strategy != "heuristic":
         # only the score-based strategies run the kernels
         summary["backend"] = kernels.backend_name()
+        summary["scored"] = scored
     return summary
 
 
@@ -547,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    started = time.time()
+    started = time.perf_counter()
     try:
         _apply_config_file(args, parser, argv)
         args._inputs = []
@@ -572,11 +578,11 @@ def main(argv: list[str] | None = None) -> int:
             "inputs": _hash_inputs(args._inputs),
             "outputs": [str(p) for p in args._outputs],
             "summary": summary,
-            "timings": {"total_s": time.time() - started},
+            "timings": {"total_s": time.perf_counter() - started},
         }
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
         _publish_single(args._report_path, lambda p: p.write_text(payload, encoding="utf-8"))
-    log.info("%s finished in %.2fs", args.command, time.time() - started)
+    log.info("%s finished in %.2fs", args.command, time.perf_counter() - started)
     return 0
 
 

@@ -19,6 +19,50 @@ All three consumers take their float32 blocks from one helper,
 _score_blocks: one P x tile_cols block per source tile. stream_row_topk
 returns a RowTopK: P x k arrays of source indices and scores, each row
 sorted by (score desc, source id asc).
+
+Pruned avg-sim selection
+------------------------
+stream_column_means(..., top=c) under mean pooling scores exactly only the
+sources whose mean can be among the c largest (bound-and-verify, as in the
+threshold algorithm of Fagin, Lotem and Naor, PODS 2001). Take target j's
+float64 clip sum T_j and clip count L_j as given, and source i's float32
+clips v with count Q_i and exact clip sum S_i. Source i's exact mean m_i
+is fl(fl(sum_j x_ij) / P) with x_ij = fl32(fl(T_j . fl(S_i)) / (L_j Q_i)),
+whose real counterpart is mu_i = S_i . C / Q_i for the target centre
+C = (1/P) sum_j T_j / L_j. One bound pass computes per source, with
+float64 np.einsum over the float32 clips,
+
+    a_i = sum_clips (v . C^) / Q_i,      C^ the float64 value of C,
+    B_i = K_i M R_i / Q_i + 2^-149,
+    K_i = 2^-23 + 8 (d + P + Q_i + 8) 2^-53,
+
+where M = (1/P) sum_j |T_j| / L_j, R_i = sum_clips |v| and d is the
+dimension; B_i >= |m_i - a_i|. With u = 2^-53 and G = M R_i / Q_i:
+
+- exact side: by Cauchy-Schwarz |T_j . S_i| / (L_j Q_i) <= |T_j| R_i /
+  (L_j Q_i), whose mean over j is G. The float64 clip sum of S_i, the dot
+  product, the division and the target-order column sum plus the final
+  division by P each add at most Q_i u, d u, u and (P + 1) u times G (to
+  first order). The float32 rounding adds at most 2^-24 |x| + 2^-150 per
+  score, so 2^-24 G + 2^-150 to the mean.
+- estimate side: |C^ - C| <= (P + 1) u M and |C| <= M, so the clip dots,
+  their sum and the division by Q_i add at most (P + 1 + d + Q_i + 1) u G.
+- K_i holds twice the float32 term and four times the float64 terms, which
+  also covers the second-order terms, the rounding of B_i itself and of
+  a_i +- B_i (|a_i| <= G (1 + small)); 2^-149 is twice the subnormal term.
+  float64 neither overflows nor underflows: nonzero products of float32
+  values lie between 2^-298 and 2^256, and clip counts move them by far
+  less than the rest of its normal range.
+- A score can overflow float32 only if max_j(|T_j| / L_j) R_i / Q_i >=
+  2^127; such a source is always a candidate, with bounds -inf and +inf.
+
+The candidates are the sources with a_i + B_i >= t, where t is the c-th
+largest a_i - B_i. A pruned source has m_i <= a_i + B_i < t, and at least
+c sources have m_k >= a_k - B_k >= t, so it is strictly below c others and
+outside the top c whatever the tie-break. A source's mean depends only on
+that source and the target set, so the candidates, scored by the same
+_score_blocks path on their gathered rows, get the bits the full pass gives
+them, and ranking them gives the full pass's top c byte for byte.
 """
 from __future__ import annotations
 
@@ -41,6 +85,8 @@ from .store import (ClipMatrix, CorpusHandle, _Tile, json_object, number_field, 
 MATRIX_MAGIC = b"CPDK"
 MATRIX_VERSION = 1
 _MATRIX_HEADER = struct.Struct("<4sHII")
+# The smallest positive float32 (a subnormal): twice its largest rounding error.
+_F32_TINY = 2.0 ** -149
 
 
 class PoolingMode(enum.Enum):
@@ -124,26 +170,9 @@ def _score_block(target_side: tuple, source_side: tuple, pooling: PoolingMode) -
     return kernel(*target_side, *source_side)
 
 
-def _score_blocks(target: CorpusHandle, source: CorpusHandle, pooling: PoolingMode,
-                  tile: TileConfig,
-                  consume: Callable[[int, int, np.ndarray], None]) -> None:
-    """Call consume(lo, hi, block32) with the float32 P x (hi - lo) score
-    block of every source tile [lo, hi) against all target videos.
-
-    One kernel call per tile of tile.tile_cols source videos; tiles may run
-    on tile.threads threads. An empty target side makes no call.
-    """
-    p, n = target.video_count, source.video_count
-    if p and n and target.dim != source.dim:
-        raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
-    if p == 0:
-        return
-    target_side = _prepare_side(target.load_tile(0, p), pooling)
-
-    def work(lo: int, hi: int) -> None:
-        source_side = _prepare_side(source.load_tile(lo, hi), pooling)
-        consume(lo, hi, _score_block(target_side, source_side, pooling).astype(np.float32))
-
+def _each_tile(n: int, tile: TileConfig, work: Callable[[int, int], None]) -> None:
+    """Call work(lo, hi) for each tile [lo, hi) of tile.tile_cols positions
+    in range(n), on tile.threads threads."""
     spans = [(lo, min(lo + tile.tile_cols, n)) for lo in range(0, n, tile.tile_cols)]
     if tile.threads <= 1 or len(spans) <= 1:
         for lo, hi in spans:
@@ -153,6 +182,38 @@ def _score_blocks(target: CorpusHandle, source: CorpusHandle, pooling: PoolingMo
         futures = [pool.submit(work, lo, hi) for lo, hi in spans]
         for fut in futures:
             fut.result()
+
+
+def _target_side(target: CorpusHandle, source: CorpusHandle,
+                 pooling: PoolingMode) -> tuple | None:
+    """The kernel arguments of all target videos, or None if there are none."""
+    p, n = target.video_count, source.video_count
+    if p and n and target.dim != source.dim:
+        raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
+    return _prepare_side(target.load_tile(0, p), pooling) if p else None
+
+
+def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: PoolingMode,
+                  tile: TileConfig, consume: Callable[[int, int, np.ndarray], None],
+                  rows: np.ndarray | None = None) -> None:
+    """Call consume(lo, hi, block32) with the float32 P x (hi - lo) score
+    block of every source tile [lo, hi) against all target videos.
+
+    rows, if given, holds ascending source row indices; the tiles then run
+    over positions in rows, and only those sources are read and scored.
+    One kernel call per tile of tile.tile_cols source videos; tiles may run
+    on tile.threads threads. An empty target side (None) makes no call.
+    """
+    if target_side is None:
+        return
+
+    def work(lo: int, hi: int) -> None:
+        # The decoded tile is freed once prepared, before the kernel runs.
+        span = (lo, hi) if rows is None else (rows[lo:hi],)
+        source_side = _prepare_side(source.load_tile(*span), pooling)
+        consume(lo, hi, _score_block(target_side, source_side, pooling).astype(np.float32))
+
+    _each_tile(source.video_count if rows is None else len(rows), tile, work)
 
 
 def pair_similarity(target: ClipMatrix, source: ClipMatrix,
@@ -184,13 +245,46 @@ def build_similarity_matrix(target: CorpusHandle, source: CorpusHandle,
     def consume(lo: int, hi: int, block32: np.ndarray) -> None:
         matrix[:, lo:hi] = block32
 
-    _score_blocks(target, source, pooling, tile, consume)
+    _score_blocks(_target_side(target, source, pooling), source, pooling, tile, consume)
     return SimilarityView(target.video_ids(), source.video_ids(), matrix)
+
+
+def _mean_candidates(target_side: tuple, source: CorpusHandle, tile: TileConfig,
+                     top: int) -> np.ndarray:
+    """Ascending source rows whose exact mean score can be among the top
+    largest: every row whose upper bound reaches the top-th largest lower
+    bound. See "Pruned avg-sim selection" in the module docstring."""
+    t_sums, t_counts = target_side
+    p, dim = t_sums.shape
+    scaled = t_sums / t_counts[:, None]
+    center = scaled.sum(axis=0) / p
+    norms = np.sqrt(np.einsum("jk,jk->j", scaled, scaled))
+    spread, peak = norms.sum() / p, norms.max()
+    n = source.video_count
+    lower, upper = np.empty(n), np.empty(n)
+
+    def work(lo: int, hi: int) -> None:
+        part = source.load_tile(lo, hi)
+        starts = part.offsets[:-1]
+        # float64 accumulation over float32 clips, without a float64 copy of them
+        dots = np.einsum("qk,k->q", part.clips, center)
+        lengths = np.sqrt(np.einsum("qk,qk->q", part.clips, part.clips, dtype=np.float64))
+        estimate = np.add.reduceat(dots, starts) / part.counts
+        reach = np.add.reduceat(lengths, starts) / part.counts
+        bound = (2.0 ** -23 + 8 * (dim + p + part.counts + 8) * 2.0 ** -53) * spread * reach
+        bound += _F32_TINY
+        overflow = peak * reach >= 2.0 ** 127
+        lower[lo:hi] = np.where(overflow, -np.inf, estimate - bound)
+        upper[lo:hi] = np.where(overflow, np.inf, estimate + bound)
+
+    _each_tile(n, tile, work)
+    cut = np.partition(lower, n - top)[n - top]
+    return np.flatnonzero(upper >= cut)
 
 
 def stream_column_means(target: CorpusHandle, source: CorpusHandle,
                         pooling: PoolingMode = PoolingMode.MEAN,
-                        tile: TileConfig = DEFAULT_TILE
+                        tile: TileConfig = DEFAULT_TILE, *, top: int | None = None
                         ) -> tuple[list[str], np.ndarray]:
     """Per-source mean score against the whole target corpus, without
     materializing the matrix.
@@ -199,19 +293,34 @@ def stream_column_means(target: CorpusHandle, source: CorpusHandle,
     float32 scores of column i in target index order, divided by P, so it
     equals that reduction over the build_similarity_matrix matrix
     bit-for-bit.
+
+    With mean pooling and 1 <= top < N, only the sources whose mean can be
+    among the top largest are scored: the result holds a subset of the
+    sources, in source order, that contains every source of the top (by
+    mean desc, then id asc), each with its exact mean. Otherwise top is
+    ignored and every source is scored.
     """
     p = target.video_count
     if p == 0:
         raise ArgumentError("target corpus is empty")
-    sums = np.zeros(source.video_count, dtype=np.float64)
+    target_side = _target_side(target, source, pooling)
+    ids = source.video_ids()
+    rows = None
+    if pooling is PoolingMode.MEAN and top is not None and 1 <= top < len(ids):
+        rows = _mean_candidates(target_side, source, tile, top)
+        if len(rows) == len(ids):
+            rows = None
+        else:
+            ids = [ids[row] for row in rows.tolist()]
+    sums = np.zeros(len(ids), dtype=np.float64)
 
     def consume(lo: int, hi: int, block32: np.ndarray) -> None:
         acc = sums[lo:hi]
         for row in block32:
             acc += row
 
-    _score_blocks(target, source, pooling, tile, consume)
-    return source.video_ids(), sums / p
+    _score_blocks(target_side, source, pooling, tile, consume, rows)
+    return ids, sums / p
 
 
 def _id_rank(ids: Sequence[str]) -> np.ndarray:
@@ -327,7 +436,7 @@ def stream_row_topk(target: CorpusHandle, source: CorpusHandle,
         with lock:
             reducer.merge(candidates)
 
-    _score_blocks(target, source, pooling, tile, consume)
+    _score_blocks(_target_side(target, source, pooling), source, pooling, tile, consume)
     return reducer.result()
 
 

@@ -362,26 +362,39 @@ class CorpusHandle:
             )
         return video
 
-    def load_tile(self, start: int, stop: int) -> _Tile:
-        """Decode manifest rows [start, stop) into stacked clip arrays.
+    def load_tile(self, start: int | np.ndarray, stop: int | None = None) -> _Tile:
+        """Decode manifest rows [start, stop), or with stop omitted the rows
+        named by start, an ascending array of row indices, into stacked clip
+        arrays.
 
         The rows are checked and copied by _copy_records. If any check
         fails, they are re-read one by one through _load_entry, so the error
         raised is the one load_video raises for the first bad row.
         """
-        ids = self.columns.ids[start:stop]
-        clips = self._copy_records(start, stop, ids)
+        if stop is None:
+            rows = np.asarray(start, dtype=np.intp)
+            if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= self.video_count
+                                                  or (np.diff(rows) <= 0).any())):
+                raise ArgumentError("tile rows must be ascending row indices of the corpus")
+            row_list = rows.tolist()
+            ids = [self.columns.ids[row] for row in row_list]
+        else:
+            rows = slice(start, stop)
+            row_list = range(self.video_count)[rows]
+            ids = self.columns.ids[rows]
+        clips = self._copy_records(rows, ids)
         if clips is None:
             clips = np.concatenate([self._load_entry(self.columns.entry(row)).values
-                                    for row in range(self.video_count)[start:stop]])
-        counts = np.asarray(self.columns.clip_counts[start:stop], dtype=np.intp)
+                                    for row in row_list])
+        counts = np.asarray(self.columns.clip_counts[rows], dtype=np.intp)
         offsets = np.zeros(len(ids) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         return _Tile(ids=ids, counts=counts, offsets=offsets, clips=clips)
 
-    def _copy_records(self, start: int, stop: int, ids: list[str]) -> np.ndarray | None:
-        """The stacked float32 values of rows [start, stop), or None unless
-        every record passes the checks _load_entry makes on it.
+    def _copy_records(self, rows: slice | np.ndarray, ids: list[str]) -> np.ndarray | None:
+        """The stacked float32 values of the rows (a slice or an index
+        array), or None unless every record passes the checks _load_entry
+        makes on it.
 
         Offsets and counts are bounded by their shard before any sum or
         product of them is formed, so a corrupt row cannot overflow or size
@@ -392,12 +405,12 @@ class CorpusHandle:
         row_bytes = self.dim * 4
         try:
             id_bytes = list(map(str.encode, ids))
-            offsets = np.asarray(self.columns.offsets[start:stop], dtype=np.int64)
-            counts = np.asarray(self.columns.clip_counts[start:stop], dtype=np.int64)
+            offsets = np.asarray(self.columns.offsets[rows], dtype=np.int64)
+            counts = np.asarray(self.columns.clip_counts[rows], dtype=np.int64)
         except (UnicodeEncodeError, OverflowError):
             return None
         id_lens = np.fromiter(map(len, id_bytes), dtype=np.int64, count=len(ids))
-        codes = self.columns.codes[start:stop]
+        codes = self.columns.codes[rows]
         sizes = self._shard_sizes[codes]
         # A negative offset would index from the end of the shard.
         if row_bytes == 0 or not ((offsets >= 0) & (offsets <= sizes) & (counts >= 1)

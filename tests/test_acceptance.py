@@ -73,7 +73,7 @@ def _oracle_knn_pool(view, pool_target):
 
 def test_criterion_1_curation_oracle_equivalence():
     rng = np.random.default_rng(101)
-    started = time.time()
+    started = time.perf_counter()
     for trial in range(100):
         n = int(rng.integers(1, 201))
         p = int(rng.integers(1, 21))
@@ -98,7 +98,7 @@ def test_criterion_1_curation_oracle_equivalence():
         manifest = curate_knn(provider, n, c, factor, seed=trial)
         assert len(manifest.entries) == c
         assert set(manifest.video_ids()) <= {vid for vid, _ in pool}
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 PASS: avg_sim + knn pool == brute-force oracle on 100 "
           f"instances, 0 mismatches, {elapsed:.1f}s")
@@ -132,7 +132,7 @@ def test_criterion_2_streaming_equals_dense_bitwise():
 
 def test_criterion_3_planted_cluster_recovery():
     d, n, planted_count, c = 32, 10_000, 1_000, 1_000
-    started = time.time()
+    started = time.perf_counter()
     worst = 1.0
     for seed in range(20):
         rng = np.random.default_rng(9000 + seed)
@@ -170,7 +170,7 @@ def test_criterion_3_planted_cluster_recovery():
         recovered = len(selected & planted_ids) / planted_count
         worst = min(worst, recovered)
         assert recovered >= 0.95, f"seed {seed}: recovered only {recovered:.3f}"
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 3 PASS: planted recovery >= 95% on all 20 seeds "
           f"(worst {worst:.3f}), {elapsed:.1f}s")
@@ -333,10 +333,10 @@ def test_criterion_8_throughput_smoke(tmp_path):
          for j in range(target_clips // 8)])
 
     tile = TileConfig(tile_cols=8192, threads=8)
-    started = time.time()
+    started = time.perf_counter()
     ids, means = stream_column_means(target, source, PoolingMode.MEAN, tile)
     manifest = curate_avg_sim(ids, means, 10_000)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     assert len(manifest.entries) == 10_000
     assert elapsed < 120.0, f"streaming curation took {elapsed:.1f}s"
 

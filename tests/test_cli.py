@@ -438,6 +438,51 @@ class TestTracedEntryPoints:
         sidecar = json.loads((tmp_path / "picked.jsonl.meta.json").read_text())
         assert len(pool) == sidecar["config"]["pool_size"] == 18
 
+    def test_avg_sim_curate_scores_only_candidates_through_the_modules(
+            self, corpora, tmp_path, monkeypatch, caplog):
+        """The tracer wraps similarity.stream_column_means,
+        CorpusHandle.load_tile and kernels.mean_score_block. A pruned
+        avg-sim run must go through all three, and its kernel blocks must
+        hold P x c' cells, c' being the summary's scored count."""
+        from cupid import similarity, store
+
+        calls = {"means": 0, "tiles": [], "cells": 0}
+        column_means = similarity.stream_column_means
+        load_tile, mean_block = store.CorpusHandle.load_tile, kernels.mean_score_block
+
+        def traced_means(*args, **kwargs):
+            calls["means"] += 1
+            return column_means(*args, **kwargs)
+
+        def traced_tile(handle, *args, **kwargs):
+            tile = load_tile(handle, *args, **kwargs)
+            calls["tiles"].append((handle.role, len(args), len(tile.ids)))
+            return tile
+
+        def traced_block(*args):
+            block = mean_block(*args)
+            calls["cells"] += block.size
+            return block
+
+        monkeypatch.setattr(similarity, "stream_column_means", traced_means)
+        monkeypatch.setattr(store.CorpusHandle, "load_tile", traced_tile)
+        monkeypatch.setattr(kernels, "mean_score_block", traced_block)
+        caplog.set_level("INFO", logger="cupid")
+        src, tgt = corpora
+        out = tmp_path / "picked.jsonl"
+        assert main(["curate", "--strategy", "avg-sim", "--capacity", "6",
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "picked.jsonl.run.json").read_text())
+        scored = report["summary"]["scored"]
+        assert calls["means"] == 1
+        assert scored == 6  # this corpus has no source within its bound of the cut
+        assert calls["cells"] == 4 * scored
+        # targets once, every source in the bound pass, the candidates gathered
+        assert sorted(calls["tiles"]) == [("source", 1, 6), ("source", 2, 30),
+                                          ("target", 2, 4)]
+        assert "30 sources, capacity 6, 6 scored exactly" in caplog.text
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, corpora, tmp_path):

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cupid.kernels as kernels
 from cupid import (
@@ -16,6 +18,7 @@ from cupid import (
     SimilarityView,
     TileConfig,
     build_similarity_matrix,
+    curate_avg_sim,
     pair_similarity,
     stream_column_means,
     stream_row_topk,
@@ -225,6 +228,152 @@ class TestColumnMeans:
         source = random_corpus(rng, "s", "source", 3, 2, 4)
         with pytest.raises(ArgumentError):
             stream_column_means(target, source)
+
+
+def _selection(ids, means, c):
+    """curate_avg_sim's picks as (rank, id, score bits), or CapacityError."""
+    try:
+        manifest = curate_avg_sim(ids, means, c)
+    except CapacityError:
+        return CapacityError
+    return [(e.rank, e.video_id, np.float64(e.score).tobytes()) for e in manifest.entries]
+
+
+def _assert_pruned_matches_full(target, source, c, tile=TileConfig(tile_cols=3, threads=2)):
+    full_ids, full_means = stream_column_means(target, source, PoolingMode.MEAN, tile)
+    ids, means = stream_column_means(target, source, PoolingMode.MEAN, tile, top=c)
+    assert _selection(ids, means, c) == _selection(full_ids, full_means, c)
+    # a subset of the sources in source order, each with its full-pass bits
+    index = {vid: i for i, vid in enumerate(full_ids)}
+    rows = [index[vid] for vid in ids]
+    assert rows == sorted(set(rows))
+    assert means.tobytes() == full_means[rows].tobytes()
+    return len(ids)
+
+
+class TestPrunedColumnMeans:
+    """stream_column_means(top=c) scores only the sources that can reach
+    the top c, and the top c it gives is the full pass's, bit for bit."""
+
+    # Clip scales: ordinary; tiny, whose scores are float32 subnormals or
+    # round to zero; huge, whose scores overflow float32 to +-inf.
+    SCALES = (1.0, 2.0 ** -68, 2.0 ** -76, 2.0 ** 63, 2.0 ** 66)
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_top_c_matches_full_pass(self, data):
+        p = data.draw(st.integers(1, 4), label="P")
+        n = data.draw(st.integers(2, 14), label="N")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        scales = data.draw(st.lists(st.sampled_from(self.SCALES), min_size=1, max_size=2,
+                                    unique=True), label="scales")
+        # small integers give exact products and ties; float32 mantissas
+        # give scores that float32 rounds
+        entries = st.integers(-3, 3) | st.floats(-4, 4, width=32, allow_subnormal=False)
+
+        def clips():
+            rows = data.draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                                      min_size=1, max_size=3))
+            return np.array(rows, dtype=np.float32) * np.float32(data.draw(
+                st.sampled_from(scales)))
+
+        targets = [clips() for _ in range(p)]
+        sources = []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(["new", "copy", "nudge", "negate"])
+                             if sources else st.just("new"))
+            if kind == "new":
+                values = clips()
+            else:
+                values = data.draw(st.sampled_from(sources)).copy()
+                if kind == "negate":
+                    values = -values
+                elif kind == "nudge":
+                    # one float32 step: a mean within the bound of its base
+                    at = data.draw(st.integers(0, values.size - 1))
+                    values.flat[at] = np.nextafter(
+                        values.flat[at], np.float32(data.draw(st.sampled_from([1, -1]))))
+            sources.append(values)
+        # ids that are not in column order
+        names = data.draw(st.permutations([f"s{i:02d}" for i in range(n)]))
+        target = CorpusHandle.from_arrays(
+            "t", "target", [ClipMatrix(f"t{j}", v) for j, v in enumerate(targets)])
+        source = CorpusHandle.from_arrays(
+            "s", "source", [ClipMatrix(vid, v) for vid, v in zip(names, sources)])
+        c = data.draw(st.sampled_from([1, n - 1, n, n + 1]) | st.integers(1, n), label="c")
+        tile = TileConfig(tile_cols=data.draw(st.integers(1, 5)),
+                          threads=data.draw(st.integers(1, 2)))
+        _assert_pruned_matches_full(target, source, c, tile)
+
+    def test_sources_within_the_bound_of_the_cut_are_all_kept(self, rng):
+        # Forty one-step variants of one source, ids in reverse column order:
+        # every estimate lies within the bound of the cut.
+        target = random_corpus(rng, "t", "target", 5, 3, 8)
+        base = rng.normal(size=(3, 8)).astype(np.float32)
+        videos = []
+        for i in range(40):
+            values = base.copy()
+            values.flat[i % base.size] = np.nextafter(values.flat[i % base.size],
+                                                      np.float32(i % 2 * 2 - 1))
+            videos.append(ClipMatrix(f"v{39 - i:02d}", values))
+        source = CorpusHandle.from_arrays("s", "source", videos)
+        for c in (1, 7, 39):
+            assert _assert_pruned_matches_full(target, source, c) == 40
+
+    def test_float32_rounding_ties_keep_the_smaller_id(self):
+        # One clip of dim 1 on each side, so Cauchy-Schwarz is tight. Two
+        # sources one float32 step apart whose scores round to one float32
+        # have estimates 0.75 ulp apart; their bounds cut to a quarter would
+        # cover only 0.71 ulp. The lower one has the smaller id and wins.
+        t = np.float32(0.75)
+        s = np.float32(1.9) + np.arange(64, dtype=np.float32) * np.spacing(np.float32(1.9))
+        x = (np.float64(t) * s).astype(np.float32)
+        ties = np.flatnonzero(x[:-1] == x[1:])
+        assert len(ties) >= 8
+        target = CorpusHandle.from_arrays("t", "target", [ClipMatrix("t", [[t]])])
+        for i in ties:
+            source = CorpusHandle.from_arrays(
+                "s", "source", [ClipMatrix("b", [[s[i + 1]]]), ClipMatrix("a", [[s[i]]])])
+            _assert_pruned_matches_full(target, source, 1)
+            assert curate_avg_sim(*stream_column_means(target, source, top=1), 1
+                                  ).video_ids() == ["a"]
+
+    def test_clear_winners_are_the_only_candidates(self, rng):
+        target = random_corpus(rng, "t", "target", 6, 3, 8)
+        source = random_corpus(rng, "s", "source", 200, 4, 8)
+        assert _assert_pruned_matches_full(target, source, 10) == 10
+
+    def test_many_threads_on_one_tile_each_keep_the_bits(self, rng):
+        # Eight threads write the bounds of one-video tiles into shared arrays.
+        target = random_corpus(rng, "t", "target", 4, 3, 8)
+        source = random_corpus(rng, "s", "source", 120, 3, 8)
+        want = stream_column_means(target, source, top=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = stream_column_means(target, source,
+                                          tile=TileConfig(tile_cols=1, threads=8), top=30)
+                assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_top_outside_one_to_n_scores_everything(self, rng):
+        target = random_corpus(rng, "t", "target", 3, 2, 4)
+        source = random_corpus(rng, "s", "source", 9, 2, 4)
+        full_ids, full_means = stream_column_means(target, source)
+        for top in (None, 0, -1, 9, 10):
+            ids, means = stream_column_means(target, source, top=top)
+            assert ids == full_ids and means.tobytes() == full_means.tobytes()
+
+    def test_max_pooling_ignores_top(self, rng):
+        target = random_corpus(rng, "t", "target", 3, 2, 4)
+        source = random_corpus(rng, "s", "source", 9, 2, 4)
+        full = stream_column_means(target, source, PoolingMode.MAX)
+        ids, means = stream_column_means(target, source, PoolingMode.MAX, top=2)
+        assert ids == full[0] and means.tobytes() == full[1].tobytes()
 
 
 class TestRowTopk:

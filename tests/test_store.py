@@ -222,6 +222,20 @@ class TestCorpusHandle:
         assert tile.clips.tobytes() == b"".join(videos[i].values.tobytes()
                                                  for i in order[1:8])
 
+    def test_load_tile_gathers_listed_rows(self, rng, tmp_path, monkeypatch):
+        videos = random_videos(rng, "v", 7, 3, 4)
+        handle = build_corpus(videos, tmp_path, "corp", videos_per_shard=3)
+        monkeypatch.setattr(store, "_decode_video", None)  # no row-by-row fallback
+        rows = np.array([0, 2, 3, 6])
+        tile = handle.load_tile(rows)
+        assert tile.ids == [videos[i].video_id for i in rows]
+        assert tile.counts.tolist() == [videos[i].clip_count for i in rows]
+        assert tile.clips.tobytes() == b"".join(videos[i].values.tobytes() for i in rows)
+        assert handle.load_tile(np.array([], dtype=np.intp)).clips.shape == (0, 4)
+        for bad in ([2, 2], [3, 1], [-1, 2], [5, 7], [[0, 1]]):
+            with pytest.raises(ArgumentError):
+                handle.load_tile(np.array(bad))
+
     @pytest.mark.parametrize("field,bad", [
         # Counted from the end of the shard, these offsets name the right
         # records; they must be rejected all the same.
@@ -322,20 +336,23 @@ class TestCorpusHandle:
                               {name: bytes(buf) for name, buf in shards.items()})
         lo = data.draw(st.integers(0, len(entries)))
         hi = data.draw(st.integers(lo, len(entries)))
-        ids = [e.video_id for e in entries[lo:hi]]
-        try:
-            rows = [handle.load_video(video_id).values for video_id in ids]
-        except CupidError as exc:
-            with pytest.raises(CupidError) as got:
-                handle.load_tile(lo, hi)
-            assert type(got.value) is type(exc)
-            assert str(got.value) == str(exc)
-        else:
-            tile = handle.load_tile(lo, hi)
-            want = np.concatenate(rows) if rows else np.empty((0, 3), np.float32)
-            assert tile.ids == ids
-            assert tile.clips.dtype == np.float32 and tile.clips.shape == want.shape
-            assert tile.clips.tobytes() == want.tobytes()
+        picked = sorted(data.draw(st.sets(st.integers(0, len(entries) - 1))))
+        for args, ids in [((lo, hi), [e.video_id for e in entries[lo:hi]]),
+                          ((np.array(picked, dtype=np.intp),),
+                           [entries[row].video_id for row in picked])]:
+            try:
+                rows = [handle.load_video(video_id).values for video_id in ids]
+            except CupidError as exc:
+                with pytest.raises(CupidError) as got:
+                    handle.load_tile(*args)
+                assert type(got.value) is type(exc)
+                assert str(got.value) == str(exc)
+            else:
+                tile = handle.load_tile(*args)
+                want = np.concatenate(rows) if rows else np.empty((0, 3), np.float32)
+                assert tile.ids == ids
+                assert tile.clips.dtype == np.float32 and tile.clips.shape == want.shape
+                assert tile.clips.tobytes() == want.tobytes()
 
     def test_duplicate_manifest_ids_rejected(self):
         data = write_shard([ClipMatrix("v", np.zeros((1, 2), dtype=np.float32))])
