@@ -128,6 +128,13 @@ def _open_corpora(args) -> tuple[store.CorpusHandle, store.CorpusHandle]:
     return target, source
 
 
+def _bytes_read(*handles: store.CorpusHandle) -> int:
+    """Shard bytes the handles have read, logged at INFO."""
+    total = sum(handle.bytes_read for handle in handles)
+    log.info("read %d shard bytes", total)
+    return total
+
+
 def _load_embedding_inputs(input_path: Path) -> list[store.ClipMatrix]:
     """Read per-video arrays from a directory of .npy files or one .npz."""
     videos = []
@@ -219,7 +226,8 @@ def cmd_similarity(args) -> dict:
         summary = {"mode": "topk", "k": args.topk, "rows": target.video_count}
     args._inputs = [args.target_manifest, args.source_manifest]
     args._report_path = Path(str(out) + ".run.json")
-    summary.update({"pooling": pooling.value, "backend": kernels.backend_name()})
+    summary.update({"pooling": pooling.value, "backend": kernels.backend_name(),
+                    "bytes_read": _bytes_read(target, source)})
     return summary
 
 
@@ -295,6 +303,7 @@ def cmd_curate(args) -> dict:
         # only the score-based strategies run the kernels
         summary["backend"] = kernels.backend_name()
         summary["scored"] = scored
+        summary["bytes_read"] = _bytes_read(target, source)
     return summary
 
 

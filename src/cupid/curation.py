@@ -332,7 +332,7 @@ def read_curation_manifest(path: str | Path) -> CurationManifest:
 
     def parse(line: str) -> tuple[CurationEntry, str]:
         obj = json_object(line)
-        score = None if obj["score"] is None else number_field(obj, "score")
+        score = None if obj["score"] is None else number_field(obj, "score", finite=True)
         entry = CurationEntry(int_field(obj, "rank"), str_field(obj, "video_id"), score)
         return entry, str_field(obj, "strategy")
 

@@ -78,7 +78,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ArgumentError, CapacityError, FormatError, SchemaError
+from .errors import ArgumentError, CapacityError, DataError, FormatError, SchemaError
 from .store import (ClipMatrix, CorpusHandle, _Tile, json_object, number_field, read_lines,
                     str_field)
 
@@ -203,6 +203,7 @@ def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: Pool
     over positions in rows, and only those sources are read and scored.
     One kernel call per tile of tile.tile_cols source videos; tiles may run
     on tile.threads threads. An empty target side (None) makes no call.
+    A score that is not finite in float32 is a DataError naming the source.
     """
     if target_side is None:
         return
@@ -211,7 +212,15 @@ def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: Pool
         # The decoded tile is freed once prepared, before the kernel runs.
         span = (lo, hi) if rows is None else (rows[lo:hi],)
         source_side = _prepare_side(source.load_tile(*span), pooling)
-        consume(lo, hi, _score_block(target_side, source_side, pooling).astype(np.float32))
+        with np.errstate(over="ignore"):  # overflow is reported below
+            block32 = _score_block(target_side, source_side, pooling).astype(np.float32)
+        finite = np.isfinite(block32).all(axis=0)
+        if not finite.all():
+            col = lo + int(np.argmin(finite))
+            row = col if rows is None else int(rows[col])
+            raise DataError(f"source video {source.columns.ids[row]!r}: a pair score "
+                            "is not finite in float32")
+        consume(lo, hi, block32)
 
     _each_tile(source.video_count if rows is None else len(rows), tile, work)
 

@@ -32,22 +32,31 @@ line still parses (other key orders, extra keys, escapes, whitespace, blank
 lines, CRLF) and errors name path:line.
 
 After ingestion a CorpusHandle is immutable; any number of threads may read
-from it concurrently. Reads are served from memory-mapped shards. The handle
-keeps the manifest as columns (ManifestColumns). A tile read checks every row
-with numpy index arithmetic against its shard: offset >= 0, the record ends
-inside the shard, and the stored id length, id bytes and clip count equal the
-row's. It then gathers all value rows in one copy and checks that they are
-finite. If any check fails, the rows are re-read one by one, so the error is
-the one load_video raises.
+from it concurrently. It keeps one read-only file descriptor per shard and
+reads with positional reads (os.pread / os.preadv, so POSIX is required),
+never through a memory map: what stays resident is the tile being read, not
+the shard pages a run has touched, and a shard that shrinks after open is a
+FormatError naming it instead of a SIGBUS. Shards given as bytes are read by
+slicing through the same helper. The handle keeps the manifest as columns
+(ManifestColumns). A tile read checks every row with numpy index arithmetic
+against its shard: offset >= 0, the record ends inside the shard, and the
+stored id length, id bytes and clip count equal the row's. It then reads the
+tile's records into one buffer, bounded by their bytes plus one page per
+read: rows whose records follow each other in one shard with gaps under a
+page share a read. It gathers all value rows from that buffer in one copy
+and checks that they are finite. If any check or read fails, the rows are
+re-read one by one, so the error is the one load_video raises.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
-import mmap
+import os
 import re
 import struct
+import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -63,6 +72,9 @@ SHARD_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
 _ID_LEN = struct.Struct("<H")
 _CLIP_COUNT = struct.Struct("<I")
+# Records of one tile in one shard whose gap is shorter than this (a page)
+# are read together, gap included.
+_PAGE = 4096
 
 SUBTITLE_SOURCES = ("human", "asr", "none")
 ROLES = ("source", "target")
@@ -157,26 +169,76 @@ def write_shard(videos: Sequence[ClipMatrix], dim: int | None = None) -> bytes:
     return out.getvalue()
 
 
-def _decode_video(buf, offset: int, dim: int, shard_name: str = "") -> tuple[ClipMatrix, int]:
-    """Decode one video record at byte offset; returns (video, next offset)."""
+class _Shard:
+    """Positional reads of one shard: from bytes in memory, or from a file
+    descriptor that is closed when the object is dropped.
+
+    size is the shard's size when it was attached; callers read inside it,
+    and a file that has shrunk since fails the read with a FormatError
+    naming the shard. Reads are positional, so threads may share the object.
+    """
+
+    def __init__(self, name: str, data=None, path: str | Path | None = None):
+        self.name = name
+        if path is None:
+            self.fd, self._data = None, memoryview(data).cast("B")
+            self.size = len(self._data)
+        else:
+            # An unbuffered file object: were it leaked, it would warn.
+            file = open(path, "rb", buffering=0)
+            weakref.finalize(self, file.close)
+            self.fd, self._data = file.fileno(), None
+            self.size = os.fstat(self.fd).st_size
+
+    def read(self, start: int, stop: int):
+        """Bytes [start, stop) as a bytes-like object, cut at size."""
+        if self.fd is None:
+            return self._data[start:stop]
+        data = bytearray(max(min(stop, self.size) - start, 0))
+        self.read_into(start, data)
+        return data
+
+    def read_into(self, start: int, out) -> None:
+        """Fill out, a writable buffer of bytes, with the bytes from start on."""
+        view = memoryview(out)
+        if self.fd is None:
+            chunk = self._data[start:start + len(view)]
+            done = len(chunk)
+            view[:done] = chunk
+        else:
+            done = 0
+            while done < len(view):
+                got = os.preadv(self.fd, [view[done:]], start + done)
+                if not got:
+                    break
+                done += got
+        if done < len(view):
+            raise FormatError(f"shard {self.name!r} ends at byte {start + done}, before "
+                              f"byte {start + len(view)}: it shrank after it was opened")
+
+
+def _decode_video(shard: _Shard, offset: int, dim: int) -> tuple[ClipMatrix, int]:
+    """Decode the video record at byte offset of shard; returns (video, next offset)."""
     try:
-        (id_len,) = _ID_LEN.unpack_from(buf, offset)
+        if offset < 0:
+            raise ValueError("negative offset")
+        (id_len,) = _ID_LEN.unpack(shard.read(offset, offset + _ID_LEN.size))
         pos = offset + _ID_LEN.size
-        id_bytes = bytes(buf[pos:pos + id_len])
-        if len(id_bytes) != id_len:
-            raise FormatError(f"truncated id at offset {offset} in shard {shard_name!r}")
-        video_id = id_bytes.decode("utf-8")
-        pos += id_len
-        (clip_count,) = _CLIP_COUNT.unpack_from(buf, pos)
-        pos += _CLIP_COUNT.size
+        head = shard.read(pos, pos + id_len + _CLIP_COUNT.size)
+        if len(head) < id_len:
+            raise FormatError(f"truncated id at offset {offset} in shard {shard.name!r}")
+        video_id = bytes(head[:id_len]).decode("utf-8")
+        (clip_count,) = _CLIP_COUNT.unpack(head[id_len:])
+        pos += id_len + _CLIP_COUNT.size
         n_bytes = clip_count * dim * 4
-        if pos + n_bytes > len(buf):
+        if pos + n_bytes > shard.size:
             raise FormatError(
-                f"video {video_id!r} overruns shard {shard_name!r} (offset {offset})"
+                f"video {video_id!r} overruns shard {shard.name!r} (offset {offset})"
             )
-        values = np.frombuffer(buf, dtype="<f4", count=clip_count * dim, offset=pos)
+        values = np.frombuffer(shard.read(pos, pos + n_bytes), dtype="<f4",
+                               count=clip_count * dim)
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
-        raise FormatError(f"undecodable record at offset {offset} in shard {shard_name!r}") from exc
+        raise FormatError(f"undecodable record at offset {offset} in shard {shard.name!r}") from exc
     if clip_count == 0:
         raise DataError(f"video {video_id!r} has zero clips")
     matrix = ClipMatrix(video_id, values.reshape(clip_count, dim))
@@ -197,18 +259,19 @@ def ingest_shard(stream: BinaryIO | bytes, expected_dim: int,
     dim, video_count = read_shard_header(data, shard_name)
     if video_count > 0 and dim != expected_dim:
         raise SchemaError(f"shard {shard_name!r} has dim {dim}, expected {expected_dim}")
+    shard = _Shard(shard_name, data)
     entries = []
     seen: set[str] = set()
     offset = _HEADER.size
     for _ in range(video_count):
-        video, next_offset = _decode_video(data, offset, dim, shard_name)
+        video, next_offset = _decode_video(shard, offset, dim)
         if video.video_id in seen:
             raise DataError(f"duplicate video_id {video.video_id!r} in shard {shard_name!r}")
         seen.add(video.video_id)
         entries.append(ManifestEntry(video.video_id, shard_name, offset, video.clip_count))
         offset = next_offset
-    if offset != len(data):
-        raise FormatError(f"shard {shard_name!r} has {len(data) - offset} trailing bytes")
+    if offset != shard.size:
+        raise FormatError(f"shard {shard_name!r} has {shard.size - offset} trailing bytes")
     return entries
 
 
@@ -286,6 +349,11 @@ class ManifestColumns:
         return [self.entry(row) for row in range(len(self))]
 
 
+def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """buf[s:s + width] for each start s, as a (len(starts), width) array."""
+    return sliding_window_view(buf, width)[starts]
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
     """starts[i] + step * k for k in range(counts[i]), concatenated over i."""
     firsts = np.cumsum(counts) - counts
@@ -300,7 +368,8 @@ class CorpusHandle:
 
     The manifest is held as ManifestColumns (`columns`); `manifest` builds
     its rows as ManifestEntry objects on each access. The id -> row map
-    load_video needs is built on its first call.
+    load_video needs is built on its first call. `bytes_read` counts the
+    shard bytes its record reads have taken so far.
     """
 
     def __init__(self, corpus_id: str, role: str,
@@ -316,14 +385,16 @@ class CorpusHandle:
         self.role = role
         self.columns = manifest
         self.dim = dim
-        self._buffers = {name: memoryview(buf) for name, buf in buffers.items()}
-        # Per shard code: its bytes, or None and size -1 if it is not attached.
-        self._shard_arrays = [np.frombuffer(self._buffers[name], dtype=np.uint8)
-                              if name in self._buffers else None
-                              for name in manifest.shards]
-        self._shard_sizes = np.array([-1 if a is None else len(a) for a in self._shard_arrays],
-                                     dtype=np.int64)
+        # Per shard code: its reader (buffers holds readers or bytes), or
+        # None and size -1 if it is not attached.
+        self._shards = [None if name not in buffers
+                        else buffers[name] if isinstance(buffers[name], _Shard)
+                        else _Shard(name, buffers[name]) for name in manifest.shards]
+        self._shard_sizes = np.array([-1 if shard is None else shard.size
+                                      for shard in self._shards], dtype=np.int64)
         self._rows: dict[str, int] | None = None
+        self._lock = threading.Lock()
+        self.bytes_read = 0
 
     @property
     def manifest(self) -> list[ManifestEntry]:
@@ -343,13 +414,15 @@ class CorpusHandle:
         row = self._rows.get(video_id)
         if row is None:
             raise NotFoundError(f"video {video_id!r} not in corpus {self.corpus_id!r}")
-        return self._load_entry(self.columns.entry(row))
+        return self._load_entry(row)
 
-    def _load_entry(self, entry: ManifestEntry) -> ClipMatrix:
-        buf = self._buffers.get(entry.shard)
-        if buf is None:
+    def _load_entry(self, row: int) -> ClipMatrix:
+        entry = self.columns.entry(row)
+        shard = self._shards[self.columns.codes[row]]
+        if shard is None:
             raise NotFoundError(f"shard {entry.shard!r} not attached to corpus")
-        video, _ = _decode_video(buf, entry.offset, self.dim, entry.shard)
+        video, end = _decode_video(shard, entry.offset, self.dim)
+        self._count(end - entry.offset)
         if video.video_id != entry.video_id:
             raise FormatError(
                 f"offset {entry.offset} in shard {entry.shard!r} decodes to "
@@ -367,9 +440,9 @@ class CorpusHandle:
         named by start, an ascending array of row indices, into stacked clip
         arrays.
 
-        The rows are checked and copied by _copy_records. If any check
-        fails, they are re-read one by one through _load_entry, so the error
-        raised is the one load_video raises for the first bad row.
+        The rows are checked, read and copied by _copy_records. If any check
+        or read fails, they are re-read one by one through _load_entry, so
+        the error raised is the one load_video raises for the first bad row.
         """
         if stop is None:
             rows = np.asarray(start, dtype=np.intp)
@@ -384,8 +457,7 @@ class CorpusHandle:
             ids = self.columns.ids[rows]
         clips = self._copy_records(rows, ids)
         if clips is None:
-            clips = np.concatenate([self._load_entry(self.columns.entry(row)).values
-                                    for row in row_list])
+            clips = np.concatenate([self._load_entry(row).values for row in row_list])
         counts = np.asarray(self.columns.clip_counts[rows], dtype=np.intp)
         offsets = np.zeros(len(ids) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
@@ -394,11 +466,11 @@ class CorpusHandle:
     def _copy_records(self, rows: slice | np.ndarray, ids: list[str]) -> np.ndarray | None:
         """The stacked float32 values of the rows (a slice or an index
         array), or None unless every record passes the checks _load_entry
-        makes on it.
+        makes on it and is read in full.
 
         Offsets and counts are bounded by their shard before any sum or
-        product of them is formed, so a corrupt row cannot overflow or size
-        an allocation.
+        product of them is formed or any byte is read, so a corrupt row can
+        neither overflow nor size an allocation or a read.
         """
         if not ids:
             return np.empty((0, self.dim), dtype=np.float32)
@@ -416,39 +488,55 @@ class CorpusHandle:
         if row_bytes == 0 or not ((offsets >= 0) & (offsets <= sizes) & (counts >= 1)
                                   & (counts <= 0xFFFFFFFF) & (id_lens <= 0xFFFF)).all():
             return None
-        values = offsets + _ID_LEN.size + id_lens + _CLIP_COUNT.size
-        if not (counts <= (sizes - values) // row_bytes).all():
+        heads = _ID_LEN.size + id_lens + _CLIP_COUNT.size
+        if not (counts <= (sizes - offsets - heads) // row_bytes).all():
             return None
-        stored_id_lens = self._gather(codes, offsets, _ID_LEN.size).view("<u2")[:, 0]
-        stored_ids = self._gather(codes, _ranges(offsets + _ID_LEN.size, id_lens), 1, id_lens)
-        stored_counts = self._gather(codes, values - _CLIP_COUNT.size,
-                                     _CLIP_COUNT.size).view("<u4")[:, 0]
+        try:
+            buf, at = self._read_spans(codes, offsets, offsets + heads + counts * row_bytes)
+        except FormatError:  # a shard shrank after open; _load_entry names it
+            return None
+        stored_id_lens = _windows(buf, at, _ID_LEN.size).view("<u2")[:, 0]
+        stored_ids = buf[_ranges(at + _ID_LEN.size, id_lens)]
+        values = at + heads
+        stored_counts = _windows(buf, values - _CLIP_COUNT.size,
+                                 _CLIP_COUNT.size).view("<u4")[:, 0]
         if not ((stored_id_lens == id_lens).all() and (stored_counts == counts).all()
                 and stored_ids.tobytes() == b"".join(id_bytes)):
             return None
-        clips = self._gather(codes, _ranges(values, counts, row_bytes), row_bytes,
-                             counts).view("<f4").astype(np.float32, copy=False)
+        clips = _windows(buf, _ranges(values, counts, row_bytes),
+                         row_bytes).view("<f4").astype(np.float32, copy=False)
         if not np.isfinite(clips).all():
             return None
         return clips
 
-    def _gather(self, codes: np.ndarray, starts: np.ndarray, width: int,
-                repeats: np.ndarray | int = 1) -> np.ndarray:
-        """Bytes [s, s + width) for each start s, as a (len(starts), width)
-        uint8 array. Row i of a tile owns the next repeats[i] starts, in
-        shard codes[i]; every span must lie inside its shard."""
-        if (codes == codes[0]).all():
-            return sliding_window_view(self._shard_arrays[codes[0]], width)[starts]
-        codes = np.repeat(codes, repeats)
-        out = np.empty((len(starts), width), dtype=np.uint8)
-        for code in np.unique(codes):
-            pick = codes == code
-            out[pick] = sliding_window_view(self._shard_arrays[code], width)[starts[pick]]
-        return out
+    def _read_spans(self, codes: np.ndarray, starts: np.ndarray,
+                    stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One uint8 buffer holding bytes [starts[i], stops[i]) of shard
+        codes[i] for each i, and the position of each span in it. Spans that
+        follow each other in one shard with a gap under _PAGE bytes share
+        one read, gap included; every other span starts a read."""
+        gaps = starts[1:] - stops[:-1]
+        new = np.ones(len(starts), dtype=bool)
+        new[1:] = (codes[1:] != codes[:-1]) | (gaps < 0) | (gaps >= _PAGE)
+        first = np.flatnonzero(new)
+        read_starts = starts[first]
+        lens = stops[np.append(first[1:], len(starts)) - 1] - read_starts
+        dests = np.cumsum(lens) - lens
+        buf = np.empty(int(lens.sum()), dtype=np.uint8)
+        for code, start, dest, n in zip(codes[first].tolist(), read_starts.tolist(),
+                                        dests.tolist(), lens.tolist()):
+            self._shards[code].read_into(start, buf[dest:dest + n])
+        self._count(len(buf))
+        read = np.cumsum(new) - 1
+        return buf, dests[read] + (starts - read_starts[read])
+
+    def _count(self, n: int) -> None:
+        with self._lock:
+            self.bytes_read += n
 
     def iter_videos(self) -> Iterator[ClipMatrix]:
         for row in range(self.video_count):
-            yield self._load_entry(self.columns.entry(row))
+            yield self._load_entry(row)
 
     @classmethod
     def from_arrays(cls, corpus_id: str, role: str,
@@ -462,21 +550,19 @@ class CorpusHandle:
     @classmethod
     def open(cls, manifest_path: str | Path, role: str,
              corpus_id: str | None = None) -> "CorpusHandle":
-        """Open a corpus from its JSON-lines manifest; shards are memory-mapped."""
+        """Open a corpus from its JSON-lines manifest, keeping one read-only
+        descriptor per shard; the descriptors close when the handle is dropped."""
         manifest_path = Path(manifest_path)
         columns = read_manifest(manifest_path)
         base = manifest_path.parent
-        buffers: dict[str, mmap.mmap | bytes] = {}
+        shards: dict[str, _Shard] = {}
         dim: int | None = None
         for shard_name in sorted(columns.shards):
             shard_path = base / shard_name
             if not shard_path.exists():
                 raise NotFoundError(f"shard file {shard_path} missing")
-            with open(shard_path, "rb") as f:
-                # mmap rejects an empty file, which read_shard_header reports as short
-                empty = f.seek(0, io.SEEK_END) == 0
-                buf = b"" if empty else mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            shard_dim, _ = read_shard_header(buf, shard_name)
+            shard = _Shard(shard_name, path=shard_path)
+            shard_dim, _ = read_shard_header(shard.read(0, _HEADER.size), shard_name)
             if shard_dim != 0:
                 if dim is None:
                     dim = shard_dim
@@ -484,10 +570,10 @@ class CorpusHandle:
                     raise SchemaError(
                         f"shard {shard_name!r} has dim {shard_dim}, corpus dim is {dim}"
                     )
-            buffers[shard_name] = buf
+            shards[shard_name] = shard
         if dim is None:
             dim = 0
-        return cls(corpus_id or manifest_path.stem, role, columns, dim, buffers)
+        return cls(corpus_id or manifest_path.stem, role, columns, dim, shards)
 
 
 def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: str,

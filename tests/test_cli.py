@@ -1,17 +1,23 @@
 """End-to-end CLI behavior: artifacts, reports, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cupid
 import cupid.kernels as kernels
 from cupid.cli import main
 from cupid.curation import read_curation_manifest, read_schedule
 from cupid.errors import FormatError
 from cupid.similarity import load_matrix, read_column_means
-from cupid.store import CorpusHandle
+from cupid.store import ClipMatrix, CorpusHandle, build_corpus
 
 from console_script import run_console_script
+from helpers import random_videos
 
 
 def _write_npz(path, rng, prefix, n, clips, dim):
@@ -202,6 +208,129 @@ class TestCurate:
                      "--allowed-categories", "Food and Entertaining",
                      "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
+
+
+class TestShardBytesRead:
+    def test_run_report_counts_the_shard_bytes_read(self, corpora, tmp_path, caplog):
+        src, tgt = corpora
+        shards = [p for d in (src.parent, tgt.parent) for p in d.glob("*.shard")]
+        record_bytes = sum(p.stat().st_size - 14 for p in shards)  # all but the headers
+        caplog.set_level("INFO", logger="cupid")
+        corpus_flags = ["--source-manifest", str(src), "--target-manifest", str(tgt)]
+        reads = {}
+        for name, command in [("full", ["curate", "--strategy", "avg-sim", "--capacity", "30"]),
+                              ("pruned", ["curate", "--strategy", "avg-sim", "--capacity", "6"]),
+                              ("col-means", ["similarity", "--mode", "col-means"])]:
+            out = tmp_path / f"{name}.jsonl"
+            assert main(command + corpus_flags + ["--out", str(out)]) == 0
+            report = json.loads(Path(f"{out}.run.json").read_text())
+            reads[name] = report["summary"]["bytes_read"]
+        # Every record once, in one read per shard and tile; a pruned run
+        # reads its candidates' records a second time.
+        assert reads["full"] == reads["col-means"] == record_bytes
+        assert record_bytes < reads["pruned"] < 2 * record_bytes
+        assert f"read {record_bytes} shard bytes" in caplog.text
+
+
+# Runs a cupid command and prints its RSS after its imports and its peak
+# RSS, in KiB. The peak is VmHWM, not ru_maxrss: on Linux ru_maxrss also
+# counts the RSS of the process that forked the child before its exec.
+_RSS_CHILD = """\
+import re, sys
+from cupid import cli
+
+def status(key):
+    with open("/proc/self/status") as f:
+        return int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1))
+
+rss = status("VmRSS")
+code = cli.main(sys.argv[1:])
+print(rss, status("VmHWM"))
+sys.exit(code)
+"""
+
+
+class TestResidentMemory:
+    def test_curate_grows_rss_by_less_than_half_the_shards(self, tmp_path, rng):
+        """Resident memory is bounded by the tile, not the corpus: a curate
+        run over 24.6 MB of shards, in 256 KB tiles, grows its RSS by less
+        than half the shard bytes. Shard pages touched through a memory map
+        would stay resident, the whole corpus of them."""
+        clips, dim, tile_cols = 8, 128, 64
+        videos = [ClipMatrix(f"s{i:05d}", rng.normal(size=(clips, dim)).astype(np.float32))
+                  for i in range(6000)]
+        build_corpus(videos, tmp_path / "src", "src", videos_per_shard=1000)
+        del videos
+        build_corpus(random_videos(rng, "t", 4, clips, dim), tmp_path / "tgt", "tgt",
+                     role="target")
+        shard_bytes = sum(p.stat().st_size for p in (tmp_path / "src").glob("*.shard"))
+        assert shard_bytes >= 4 * tile_cols * clips * dim * 4
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(cupid.__file__).resolve().parents[1]),
+                        os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run(
+            [sys.executable, "-c", _RSS_CHILD, "curate", "--strategy", "avg-sim",
+             "--capacity", "100", "--tile-cols", str(tile_cols), "--threads", "1",
+             "--source-manifest", str(tmp_path / "src" / "src.manifest.jsonl"),
+             "--target-manifest", str(tmp_path / "tgt" / "tgt.manifest.jsonl"),
+             "--out", str(tmp_path / "picked.jsonl")],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        rss, peak = (1024 * int(kib) for kib in result.stdout.split())
+        assert peak - rss < shard_bytes / 2, (rss, peak, shard_bytes)
+
+
+class TestNonFiniteScores:
+    """Clips of 3e19 against targets of +-3e19 give pair scores that
+    overflow float32. Scoring commands fail with one data line naming the
+    source and publish nothing; numpy warns about nothing."""
+
+    ERROR = {"error": "data", "message": "source video 'a': a pair score is not finite in float32"}
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        np.savez(tmp_path / "src.npz", a=np.full((2, 4), 3e19, np.float32),
+                 b=np.ones((1, 4), np.float32))
+        np.savez(tmp_path / "tgt.npz", t1=np.full((1, 4), 3e19, np.float32),
+                 t2=np.full((1, 4), -3e19, np.float32))
+        for name, role in (("src", "source"), ("tgt", "target")):
+            assert main(["ingest", "--input", str(tmp_path / f"{name}.npz"), "--out",
+                         str(tmp_path / name), "--corpus-id", name, "--role", role]) == 0
+        return ["--source-manifest", str(tmp_path / "src" / "src.manifest.jsonl"),
+                "--target-manifest", str(tmp_path / "tgt" / "tgt.manifest.jsonl")]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [
+        ["curate", "--strategy", "avg-sim", "--capacity", "1"],  # pruned
+        ["curate", "--strategy", "avg-sim", "--capacity", "2"],
+        ["curate", "--strategy", "knn", "--capacity", "1", "--expansion-factor", "2"],
+        ["similarity", "--mode", "col-means"],
+        ["similarity", "--mode", "topk", "--topk", "1"],
+    ], ids=["avg-sim-pruned", "avg-sim", "knn", "col-means", "topk"])
+    def test_overflow_is_a_data_error(self, huge, tmp_path, capsys, command):
+        assert main(command + huge + ["--out", str(tmp_path / "out.jsonl")]) == 1
+        assert _single_error(capsys) == self.ERROR
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src", "src.npz", "tgt",
+                                                              "tgt.npz"]
+
+    def test_stderr_holds_only_the_error_line(self, huge, tmp_path):
+        result = run_console_script("cupid", "curate", "--strategy", "avg-sim",
+                                    "--capacity", "1", *huge,
+                                    "--out", str(tmp_path / "out.jsonl"))
+        assert result.returncode == 1
+        assert [json.loads(line) for line in result.stderr.splitlines()] == [self.ERROR]
+
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
+    def test_schedule_rejects_a_score_that_is_not_finite(self, tmp_path, capsys, score):
+        ranked = tmp_path / "ranked.jsonl"
+        ranked.write_text('{"rank": 1, "video_id": "a", "score": %s, "strategy": "avg_sim"}\n'
+                          % score)
+        out = tmp_path / "sched.jsonl"
+        assert main(["schedule", "--manifest", str(ranked), "--sizes", "1",
+                     "--steps", "10", "--out", str(out)]) == 1
+        assert _single_error(capsys) == {"error": "format",
+                                         "message": f"{ranked}:1: bad manifest line"}
+        assert not out.exists()
 
 
 class TestSchedule:

@@ -13,6 +13,7 @@ from cupid import (
     CapacityError,
     ClipMatrix,
     CorpusHandle,
+    DataError,
     PoolingMode,
     SchemaError,
     SimilarityView,
@@ -240,7 +241,14 @@ def _selection(ids, means, c):
 
 
 def _assert_pruned_matches_full(target, source, c, tile=TileConfig(tile_cols=3, threads=2)):
-    full_ids, full_means = stream_column_means(target, source, PoolingMode.MEAN, tile)
+    try:
+        full_ids, full_means = stream_column_means(target, source, PoolingMode.MEAN, tile)
+    except DataError as exc:
+        # A score overflows float32: the pruned pass scores that source too.
+        with pytest.raises(DataError) as got:
+            stream_column_means(target, source, PoolingMode.MEAN, tile, top=c)
+        assert str(got.value) == str(exc)
+        return None
     ids, means = stream_column_means(target, source, PoolingMode.MEAN, tile, top=c)
     assert _selection(ids, means, c) == _selection(full_ids, full_means, c)
     # a subset of the sources in source order, each with its full-pass bits
@@ -256,13 +264,13 @@ class TestPrunedColumnMeans:
     the top c, and the top c it gives is the full pass's, bit for bit."""
 
     # Clip scales: ordinary; tiny, whose scores are float32 subnormals or
-    # round to zero; huge, whose scores overflow float32 to +-inf.
+    # round to zero; huge, whose scores may overflow float32, which both
+    # passes must report as the same DataError.
     SCALES = (1.0, 2.0 ** -68, 2.0 ** -76, 2.0 ** 63, 2.0 ** 66)
 
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_top_c_matches_full_pass(self, data):
         p = data.draw(st.integers(1, 4), label="P")
         n = data.draw(st.integers(2, 14), label="N")
@@ -374,6 +382,30 @@ class TestPrunedColumnMeans:
         full = stream_column_means(target, source, PoolingMode.MAX)
         ids, means = stream_column_means(target, source, PoolingMode.MAX, top=2)
         assert ids == full[0] and means.tobytes() == full[1].tobytes()
+
+
+class TestNonFiniteScores:
+    """A pair score that overflows float32 is a DataError naming the first
+    such source in source order, in every consumer and for any tiles and
+    threads, and numpy warns about nothing."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_overflow_names_the_first_source(self, pooling):
+        big = 3e19  # big * big overflows float32
+        target = CorpusHandle.from_arrays("t", "target", [
+            _single("t0", [big, 0.0]), _single("t1", [-big, 1.0])])
+        videos = [_single(f"s{i}", [1.0, 1.0]) for i in range(9)]
+        videos[4], videos[7] = _single("s4", [big, 0.0]), _single("s7", [-big, 0.0])
+        source = CorpusHandle.from_arrays("s", "source", videos)
+        for tile in (TileConfig(), TileConfig(tile_cols=2, threads=3)):
+            for run in (lambda: build_similarity_matrix(target, source, pooling, tile),
+                        lambda: stream_column_means(target, source, pooling, tile),
+                        lambda: stream_column_means(target, source, pooling, tile, top=2),
+                        lambda: stream_row_topk(target, source, pooling, 3, tile)):
+                with pytest.raises(DataError, match="^source video 's4': a pair score is "
+                                                    "not finite in float32$"):
+                    run()
 
 
 class TestRowTopk:

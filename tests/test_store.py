@@ -1,7 +1,10 @@
 """Shard format, corpus access, and clip-boundary utilities."""
+import gc
 import json
+import os
 import re
 import struct
+import warnings
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -354,6 +357,87 @@ class TestCorpusHandle:
                 assert tile.clips.dtype == np.float32 and tile.clips.shape == want.shape
                 assert tile.clips.tobytes() == want.tobytes()
 
+    def test_shard_truncated_after_open_fails_as_load_video_does(self, rng, tmp_path):
+        videos = random_videos(rng, "v", 6, 3, 4)
+        handle = build_corpus(videos, tmp_path, "corp", videos_per_shard=3)
+        last = sorted(tmp_path.glob("*.shard"))[-1]
+        os.truncate(last, last.stat().st_size - 5)
+        with pytest.raises(FormatError) as want:
+            handle.load_video("v00005")
+        assert repr(last.name) in str(want.value) and "shrank" in str(want.value)
+        for args in [(0, 6), (np.array([1, 5]),)]:
+            with pytest.raises(FormatError) as got:
+                handle.load_tile(*args)
+            assert str(got.value) == str(want.value)
+        assert handle.load_video("v00002").values.tobytes() == videos[2].values.tobytes()
+        assert handle.load_tile(0, 3).clips.tobytes() == b"".join(
+            v.values.tobytes() for v in videos[:3])
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_gathered_rows_on_disk_match_load_video(self, tmp_path_factory, data):
+        """Rows read from shard files, spread over two or three shards with
+        gaps under and over a page between them, hold load_video's bytes;
+        each run of rows with gaps under a page is read once, gaps
+        included. A corrupt row, or a shard cut short after open, raises
+        what load_video raises for the first bad row."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # Records of 268 to 2060 bytes: one skipped record is a gap under a
+        # page, sixteen are a gap over one.
+        videos = random_videos(rng, "v", 36, 8, 64)
+        root = tmp_path_factory.mktemp("corpus")
+        build_corpus(videos, root, "corp", videos_per_shard=data.draw(st.sampled_from([12, 18])))
+        manifest = root / "corp.manifest.jsonl"
+        rows = read_manifest(manifest).entries()
+        kind = data.draw(st.sampled_from(["none", "none", "flip", "nan", "truncate"]))
+        e = data.draw(st.sampled_from(rows))
+        path = root / e.shard
+        if kind == "flip":  # a byte of a record, header or values
+            shard = bytearray(path.read_bytes())
+            shard[data.draw(st.integers(14, len(shard) - 1))] ^= data.draw(st.integers(1, 255))
+            path.write_bytes(shard)
+        elif kind == "nan":
+            with open(path, "r+b") as f:
+                f.seek(e.offset + 2 + len(e.video_id) + 4
+                       + 4 * data.draw(st.integers(0, 64 * e.clip_count - 1)))
+                f.write(struct.pack("<f", float("nan")))
+        handle = CorpusHandle.open(manifest, "source")
+        if kind == "truncate":
+            os.truncate(path, data.draw(st.integers(14, path.stat().st_size - 1)))
+        lo = data.draw(st.integers(0, len(rows)))
+        hi = data.draw(st.integers(lo, len(rows)))
+        picked = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1))))
+        for args, tile_rows in [((lo, hi), list(range(lo, hi))),
+                                ((np.array(picked, dtype=np.intp),), picked)]:
+            try:
+                want = [handle.load_video(rows[row].video_id).values for row in tile_rows]
+            except CupidError as exc:
+                with pytest.raises(CupidError) as got:
+                    handle.load_tile(*args)
+                assert type(got.value) is type(exc) and str(got.value) == str(exc)
+                continue
+            before = handle.bytes_read
+            tile = handle.load_tile(*args)
+            assert tile.ids == [rows[row].video_id for row in tile_rows]
+            assert tile.clips.tobytes() == b"".join(v.tobytes() for v in want)
+            if kind == "none":
+                assert handle.bytes_read - before == _run_bytes([rows[r] for r in tile_rows], 64)
+
+    def test_dropped_handle_closes_its_descriptors(self, rng, tmp_path):
+        build_corpus(random_videos(rng, "v", 5, 3, 4), tmp_path, "corp", videos_per_shard=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            handle = CorpusHandle.open(tmp_path / "corp.manifest.jsonl", "source")
+            handle.load_tile(0, 5)
+            fds = [shard.fd for shard in handle._shards]
+            del handle
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len(set(fds)) == 3
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
     def test_duplicate_manifest_ids_rejected(self):
         data = write_shard([ClipMatrix("v", np.zeros((1, 2), dtype=np.float32))])
         entries = ingest_shard(data, 2)
@@ -363,6 +447,21 @@ class TestCorpusHandle:
     def test_bad_role_rejected(self):
         with pytest.raises(ArgumentError):
             CorpusHandle("c", "sideways", [], 2, {})
+
+
+def _run_bytes(entries, dim, page=4096):
+    """Bytes a tile read of these rows takes: runs of records that follow
+    each other in one shard with gaps under a page are read as one span."""
+    total, run = 0, None
+    for e in entries:
+        start = e.offset
+        stop = start + 2 + len(e.video_id.encode()) + 4 + 4 * dim * e.clip_count
+        if run and run[0] == e.shard and 0 <= start - run[2] < page:
+            run[2] = stop
+        else:
+            total += run[2] - run[1] if run else 0
+            run = [e.shard, start, stop]
+    return total + (run[2] - run[1] if run else 0)
 
 
 class TestUniformWindows:
@@ -663,7 +762,8 @@ _NUMBER_FIELD_CASES = [
     (read_subtitles, _subtitle_row, "subtitle", "start_s", ["1", True, None, _NAN, -_INF]),
     (read_subtitles, _subtitle_row, "subtitle", "end_s", ["1", True, None, _NAN, _INF]),
     (read_curation_manifest, _curation_row, "manifest", "rank", [1.9, 2.0, "1", True, None]),
-    (read_curation_manifest, _curation_row, "manifest", "score", ["high", True, [0.5]]),
+    (read_curation_manifest, _curation_row, "manifest", "score",
+     ["high", True, [0.5], _NAN, _INF, -_INF]),
     (read_schedule, _schedule_row, "schedule", "stage", [2.0, "2", True, None]),
     (read_schedule, _schedule_row, "schedule", "steps", [7.5, "7", False, None]),
     (read_column_means, _column_mean_row, "column-mean", "avg_sim", ["0.5", True, None, _HUGE]),
