@@ -189,6 +189,8 @@ def cmd_ingest(args) -> dict:
         "videos": handle.video_count,
         "clips": int(handle.columns.clip_counts.sum()),
         "dim": handle.dim,
+        "shards": len(handle.columns.shards),
+        "bytes_written": sum(path.stat().st_size for path in publisher.published),
         "manifest": str(out_dir / manifest_name),
     }
 

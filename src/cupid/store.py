@@ -18,6 +18,14 @@ to. Shard paths are stored relative to the manifest. Video metadata and
 subtitles live in separate JSON-lines files (see read_metadata /
 read_subtitles).
 
+Writers trust validated ClipMatrix inputs: build_corpus and
+CorpusHandle.from_arrays compute each record's offset from its id length and
+clip count and never read a shard back, and they check the values once per
+shard, with one isfinite over its value rows, since a ClipMatrix's array can
+be changed in place after it was made. ingest_shard is the validator for
+shards that come from outside: it decodes and checks every record.
+Every manifest line is the one json.dumps writes for its row.
+
 Manifests are read in chunks of about _CHUNK_BYTES. A chunk whose lines are
 all canonical is parsed with numpy, without a Python object per field. A
 canonical line is exactly what write_manifest writes for an id and a shard
@@ -49,8 +57,8 @@ re-read one by one, so the error is the one load_video raises.
 """
 from __future__ import annotations
 
-import io
 import json
+import logging
 import math
 import os
 import re
@@ -58,6 +66,8 @@ import struct
 import threading
 import weakref
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -65,6 +75,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, DataError, FormatError, NotFoundError, SchemaError
+
+log = logging.getLogger(__name__)
 
 SHARD_MAGIC = b"CPDE"
 SHARD_VERSION = 1
@@ -147,8 +159,55 @@ class Subtitle:
 
 def write_shard(videos: Sequence[ClipMatrix], dim: int | None = None) -> bytes:
     """Serialize videos into one shard. Bit-exact round trip with ingest_shard."""
+    return bytes(_pack_shard(videos, dim, check_finite=False)[0])
+
+
+def _pack_shard(videos: Sequence[ClipMatrix], dim: int | None = None, *,
+                check_finite: bool) -> tuple[bytearray, np.ndarray, np.ndarray]:
+    """(shard bytes, record offsets, clip counts) of videos.
+
+    Every video must have dim (the first video's by default) and a unique id
+    of at most 0xFFFF UTF-8 bytes; with check_finite, one isfinite over all
+    of the shard's value rows checks the values too, as ingest_shard would.
+    The offsets are computed from the id lengths and clip counts: the bytes
+    are never read back.
+    """
     if dim is None:
         dim = videos[0].dim if videos else 0
+    n = len(videos)
+    header = _HEADER.pack(SHARD_MAGIC, SHARD_VERSION, dim, n)
+    if not n:
+        return bytearray(header), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    ids = [v.video_id for v in videos]
+    try:
+        values = np.concatenate([v.values for v in videos])
+    except ValueError:  # the dims differ
+        values = None
+    if values is None or values.shape[1] != dim or len(set(ids)) < n:
+        _raise_first_conflict(videos, dim)
+    id_bytes = list(map(_encode_id, ids))
+    if check_finite and not np.isfinite(values).all():
+        bad = next(v for v in videos if not np.isfinite(v.values).all())
+        raise DataError(f"video {bad.video_id!r} contains non-finite values")
+    counts = np.fromiter(map(len, (v.values for v in videos)), dtype=np.int64, count=n)
+    id_lens = np.fromiter(map(len, id_bytes), dtype=np.int64, count=n)
+    heads = _ID_LEN.size + id_lens + _CLIP_COUNT.size
+    sizes = heads + counts * (dim * 4)
+    offsets = _HEADER.size + np.cumsum(sizes) - sizes
+    buf = bytearray(_HEADER.size + int(sizes.sum()))
+    buf[:_HEADER.size] = header
+    out = np.frombuffer(buf, dtype=np.uint8)
+    _put_rows(out, offsets, id_lens.astype("<u2"))
+    out[_ranges(offsets + _ID_LEN.size, id_lens)] = np.frombuffer(b"".join(id_bytes),
+                                                                  dtype=np.uint8)
+    _put_rows(out, offsets + heads - _CLIP_COUNT.size, counts.astype("<u4"))
+    _put_rows(out, _ranges(offsets + heads, counts, dim * 4), values.astype("<f4", copy=False))
+    return buf, offsets, counts
+
+
+def _raise_first_conflict(videos: Sequence[ClipMatrix], dim: int) -> None:
+    """Raise the error for the first video whose dim is not dim or whose id
+    an earlier video has."""
     seen: set[str] = set()
     for v in videos:
         if v.dim != dim:
@@ -156,17 +215,29 @@ def write_shard(videos: Sequence[ClipMatrix], dim: int | None = None) -> bytes:
         if v.video_id in seen:
             raise DataError(f"duplicate video_id {v.video_id!r} in shard")
         seen.add(v.video_id)
-    out = io.BytesIO()
-    out.write(_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, dim, len(videos)))
-    for v in videos:
-        id_bytes = v.video_id.encode("utf-8")
-        if len(id_bytes) > 0xFFFF:
-            raise DataError(f"video id too long ({len(id_bytes)} bytes)")
-        out.write(_ID_LEN.pack(len(id_bytes)))
-        out.write(id_bytes)
-        out.write(_CLIP_COUNT.pack(v.clip_count))
-        out.write(v.values.astype("<f4", copy=False).tobytes())
-    return out.getvalue()
+
+
+def _put_rows(buf: np.ndarray, starts: np.ndarray, rows: np.ndarray) -> None:
+    """Write the bytes of rows[i] to buf (uint8) at starts[i], for each i;
+    the rows must not overlap in buf."""
+    rows = rows.reshape(len(starts), -1).view(np.uint8)
+    sliding_window_view(buf, rows.shape[1], writeable=True)[starts] = rows
+
+
+def _encode_id(video_id: str) -> bytes:
+    """The UTF-8 bytes of a video id; a DataError unless they fit a shard."""
+    try:
+        id_bytes = video_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"video id {_short_repr(video_id)} is not valid UTF-8") from None
+    if len(id_bytes) > 0xFFFF:
+        raise DataError(f"video id {_short_repr(video_id)} too long ({len(id_bytes)} bytes)")
+    return id_bytes
+
+
+def _short_repr(text: str) -> str:
+    """repr of the first 40 characters of text, marked if it was cut."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 class _Shard:
@@ -380,7 +451,10 @@ class CorpusHandle:
         if not isinstance(manifest, ManifestColumns):
             manifest = ManifestColumns.from_entries(manifest)
         if len(set(manifest.ids)) != len(manifest):
-            raise DataError(f"corpus {corpus_id!r}: duplicate video ids in manifest")
+            seen: set[str] = set()
+            dup = next(vid for vid in manifest.ids if vid in seen or seen.add(vid))
+            raise DataError(f"corpus {corpus_id!r}: duplicate video id "
+                            f"{_short_repr(dup)} in manifest")
         self.corpus_id = corpus_id
         self.role = role
         self.columns = manifest
@@ -543,9 +617,10 @@ class CorpusHandle:
                     videos: Sequence[ClipMatrix]) -> "CorpusHandle":
         """Build an in-memory corpus (single anonymous shard) from clip matrices."""
         dim = videos[0].dim if videos else 0
-        data = write_shard(list(videos), dim=dim)
-        entries = ingest_shard(data, dim if dim else 1, shard_name=":memory:")
-        return cls(corpus_id, role, entries, dim, {":memory:": data})
+        data, offsets, counts = _pack_shard(videos, dim, check_finite=True)
+        columns = ManifestColumns([v.video_id for v in videos], [":memory:"],
+                                  np.zeros(len(videos), dtype=np.intp), offsets, counts)
+        return cls(corpus_id, role, columns, dim, {":memory:": data})
 
     @classmethod
     def open(cls, manifest_path: str | Path, role: str,
@@ -578,12 +653,18 @@ class CorpusHandle:
 
 def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: str,
                  role: str = "source", videos_per_shard: int = 4096) -> CorpusHandle:
-    """Write shards plus manifest under out_dir and return an open handle."""
+    """Write shards plus manifest under out_dir and return an open handle.
+
+    The videos are trusted as validated ClipMatrix objects, except that
+    their values are checked once per shard (they may have been changed in
+    place since). Manifest rows take the packer's offsets, so no shard is
+    read back, and the manifest is written with one write.
+    """
     if videos_per_shard < 1:
         raise ArgumentError("videos_per_shard must be positive")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_entries: list[ManifestEntry] = []
+    lines: list[str] = []
     batch: list[ClipMatrix] = []
     shard_idx = 0
     dim: int | None = None
@@ -595,10 +676,12 @@ def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: s
         if dim is None:
             dim = batch[0].dim
         name = f"{corpus_id}-{shard_idx:05d}.shard"
-        data = write_shard(batch, dim=dim)
+        data, offsets, counts = _pack_shard(batch, dim, check_finite=True)
         with open(out_dir / name, "wb") as f:
             f.write(data)
-        all_entries.extend(ingest_shard(data, dim, shard_name=name))
+        log.info("wrote shard %s: %d videos, %d bytes", name, len(batch), len(data))
+        lines.extend(_manifest_lines(name, list(zip([v.video_id for v in batch],
+                                                    offsets.tolist(), counts.tolist()))))
         shard_idx += 1
         batch.clear()
 
@@ -608,7 +691,8 @@ def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: s
             flush()
     flush()
     manifest_path = out_dir / f"{corpus_id}.manifest.jsonl"
-    write_manifest(all_entries, manifest_path)
+    with open(manifest_path, "w", encoding="utf-8") as f:
+        f.write("".join(lines))
     return CorpusHandle.open(manifest_path, role, corpus_id=corpus_id)
 
 
@@ -622,6 +706,8 @@ _CANONICAL_LINES = re.compile(
     + rb'", "offset": ' + _CANONICAL_INT + rb', "clip_count": ' + _CANONICAL_INT
     + rb'\}\n)*')
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
+# The strings json.dumps writes unescaped: printable ASCII but '"' and '\'.
+_PLAIN_STR = re.compile(_CANONICAL_STR.decode("ascii"))
 
 # The scanner json.loads runs, called without its per-call wrapper.
 _scan_json = json.JSONDecoder().scan_once
@@ -751,10 +837,26 @@ def number_field(obj: dict, key: str, finite: bool = False) -> float:
 
 
 def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
+    lines: list[str] = []
+    for shard, group in groupby(entries, attrgetter("shard")):
+        lines += _manifest_lines(shard, [(e.video_id, e.offset, e.clip_count) for e in group])
     with open(path, "w", encoding="utf-8") as f:
-        for e in entries:
-            f.write(json.dumps({"video_id": e.video_id, "shard": e.shard,
-                                "offset": e.offset, "clip_count": e.clip_count}) + "\n")
+        f.write("".join(lines))
+
+
+def _manifest_lines(shard: str, rows: Sequence[tuple[str, int, int]]) -> list[str]:
+    """The manifest line json.dumps writes for each (video_id, offset,
+    clip_count) row in shard, "\\n" included. A row whose id and shard are
+    strings json.dumps leaves as they are (a canonical line) is formatted
+    directly; the ids are checked all at once when they all are."""
+    plain_shard = _PLAIN_STR.fullmatch(shard) is not None
+    all_plain = plain_shard and _PLAIN_STR.fullmatch("".join(row[0] for row in rows)) is not None
+    return [f'{{"video_id": "{video_id}", "shard": "{shard}", "offset": {offset}, '
+            f'"clip_count": {clip_count}}}\n'
+            if all_plain or (plain_shard and _PLAIN_STR.fullmatch(video_id))
+            else json.dumps({"video_id": video_id, "shard": shard, "offset": offset,
+                             "clip_count": clip_count}) + "\n"
+            for video_id, offset, clip_count in rows]
 
 
 def read_metadata(path: str | Path) -> list[VideoMeta]:

@@ -3,11 +3,15 @@
 The oracles deliberately take the slow path (explicit pairwise dot products
 in float64) so they stay independent of the kernel implementations.
 """
+import io
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 
-from cupid import ArgumentError, ClipMatrix, CorpusHandle, PoolingMode, SimilarityView
+from cupid import (ArgumentError, ClipMatrix, CorpusHandle, DataError, PoolingMode,
+                   SchemaError, SimilarityView, ingest_shard)
 from cupid.similarity import RowTopK
 from cupid.store import ManifestEntry
 
@@ -136,3 +140,56 @@ def read_manifest_lines(path):
                 raise ValueError(line_no)
             entries.append(ManifestEntry(*row))
     return entries
+
+
+def write_shard_reference(videos, dim=None):
+    """A shard serialized field by field, as store.write_shard first did."""
+    if dim is None:
+        dim = videos[0].dim if videos else 0
+    seen = set()
+    for v in videos:
+        if v.dim != dim:
+            raise SchemaError(f"video {v.video_id!r} has dim {v.dim}, shard dim is {dim}")
+        if v.video_id in seen:
+            raise DataError(f"duplicate video_id {v.video_id!r} in shard")
+        seen.add(v.video_id)
+    out = io.BytesIO()
+    out.write(struct.pack("<4sHII", b"CPDE", 1, dim, len(videos)))
+    for v in videos:
+        id_bytes = v.video_id.encode("utf-8")
+        if len(id_bytes) > 0xFFFF:
+            raise DataError(f"video id too long ({len(id_bytes)} bytes)")
+        out.write(struct.pack("<H", len(id_bytes)))
+        out.write(id_bytes)
+        out.write(struct.pack("<I", v.clip_count))
+        out.write(v.values.astype("<f4", copy=False).tobytes())
+    return out.getvalue()
+
+
+def build_corpus_reference(videos, out_dir, corpus_id, role="source", videos_per_shard=4096):
+    """store.build_corpus by its first path: each shard is serialized by
+    write_shard_reference, written, and decoded again in full by
+    ingest_shard for its manifest rows, and each manifest line is one
+    json.dumps."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries, dim = [], None
+    videos = list(videos)
+    for start in range(0, len(videos), videos_per_shard):
+        batch = videos[start:start + videos_per_shard]
+        dim = batch[0].dim if dim is None else dim
+        name = f"{corpus_id}-{start // videos_per_shard:05d}.shard"
+        data = write_shard_reference(batch, dim)
+        (out_dir / name).write_bytes(data)
+        entries += ingest_shard(data, dim, shard_name=name)
+    manifest_path = out_dir / f"{corpus_id}.manifest.jsonl"
+    with open(manifest_path, "w", encoding="utf-8") as f:
+        for e in entries:
+            f.write(json.dumps({"video_id": e.video_id, "shard": e.shard,
+                                "offset": e.offset, "clip_count": e.clip_count}) + "\n")
+    return CorpusHandle.open(manifest_path, role, corpus_id=corpus_id)
+
+
+def corpus_files(out_dir):
+    """{file name: bytes} of the files directly under out_dir."""
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir()) if p.is_file()}

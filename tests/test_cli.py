@@ -54,6 +54,23 @@ class TestIngest:
         assert report["command"] == "ingest"
         assert report["summary"]["videos"] == 3
         assert report["inputs"]
+        written = [out / "corpus-00000.shard", out / "corpus.manifest.jsonl"]
+        assert report["outputs"] == [str(p) for p in written]
+        assert report["summary"]["shards"] == 1
+        assert report["summary"]["bytes_written"] == sum(p.stat().st_size for p in written)
+
+    def test_id_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        d = tmp_path / "npys"
+        d.mkdir()
+        np.save(d / "ok.npy", np.ones((1, 2), dtype=np.float32))
+        # a file name byte that is not UTF-8 gives the stem a lone surrogate
+        with open(os.fsencode(d) + b"/\xff.npy", "wb") as f:
+            np.save(f, np.ones((1, 2), dtype=np.float32))
+        assert main(["ingest", "--input", str(d), "--out", str(tmp_path / "c")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"error": "data", "message": "video id '\\udcff' is not valid UTF-8"}]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["npys"]
 
     def test_expected_dim_mismatch_is_usage_error(self, tmp_path, rng, capsys):
         d = tmp_path / "npys"

@@ -1,6 +1,8 @@
 """Shard format, corpus access, and clip-boundary utilities."""
 import gc
+import hashlib
 import json
+import logging
 import os
 import re
 import struct
@@ -44,7 +46,8 @@ from cupid.store import (
 from cupid.curation import read_curation_manifest, read_schedule
 from cupid.similarity import read_column_means
 
-from helpers import random_videos, read_manifest_lines
+from helpers import (build_corpus_reference, corpus_files, random_videos, read_manifest_lines,
+                     write_shard_reference)
 
 
 def _reload(videos, expected_dim):
@@ -441,7 +444,7 @@ class TestCorpusHandle:
     def test_duplicate_manifest_ids_rejected(self):
         data = write_shard([ClipMatrix("v", np.zeros((1, 2), dtype=np.float32))])
         entries = ingest_shard(data, 2)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="corpus 'c': duplicate video id 'v' in manifest"):
             CorpusHandle("c", "source", entries + entries, 2, {"": data})
 
     def test_bad_role_rejected(self):
@@ -836,3 +839,158 @@ class TestLineReaders:
         path.write_text(json.dumps(_metadata_row(1)) + "\n" + text + "\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: bad metadata line$"):
             read_metadata(path)
+
+
+# Ids the JSON writer escapes or that are not ASCII, among plain ones.
+_IDS = st.text(st.one_of(st.sampled_from('a"\\\t\x00\x1f\x7f %{}é'),
+                         st.characters(blacklist_categories=("Cs",))), max_size=5)
+# Corpus ids that make shard names the canonical manifest lines cannot hold.
+_CORPUS_IDS = ["c", "cé", 'c"q', "c\\d", "c\x7f", "c d", "c%d"]
+
+_GOLDEN_IDS = ["g00", "g01", 'q"uote', "back\\slash", "café", "del\x7f", "tab\t",
+               "", "☃ snow", "g09", "g10"]
+# SHA-256 of every file build_corpus(_golden_videos(), d, "gold", videos_per_shard=4)
+# writes; the bytes are the format's, so they must not change with numpy's version.
+_GOLDEN_SHA256 = {
+    "gold-00000.shard": "059322bff75d97a3ea3bad2cd9210b8a99905b76b229b12511325c1af4982cc7",
+    "gold-00001.shard": "1352f7b728fffaeb65d9e3497e27e54620026f25cf041960be4e8b84d58a9921",
+    "gold-00002.shard": "933080a2aef80eaaa451b0387bcf43e550cb9c96108e964fdfe64d212665e0b2",
+    "gold.manifest.jsonl": "13e3bde341dd30f246f145e116d22148eac60d3961e3467c64ab0798e21dc3d6",
+}
+
+
+def _golden_videos(dim=5):
+    """A fixed corpus made by integer arithmetic alone, so that no random
+    generator's stream decides its bytes; every value is exact in float32."""
+    videos = []
+    for i, video_id in enumerate(_GOLDEN_IDS):
+        k = np.arange((1 + i % 3) * dim) * 7919 + i * 104729
+        videos.append(ClipMatrix(video_id, ((k % 2003 - 1001) / 64).reshape(-1, dim)))
+    return videos
+
+
+def _build_error(build, videos, tmp_path, **kwargs):
+    """The error build(videos, ...) raises into a fresh directory."""
+    with pytest.raises(CupidError) as caught:
+        build(videos, tmp_path / build.__name__, "c", **kwargs)
+    return caught.value
+
+
+class TestBuildCorpus:
+    def test_golden_bytes(self, tmp_path):
+        build_corpus(_golden_videos(), tmp_path, "gold", videos_per_shard=4)
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in corpus_files(tmp_path).items()} == _GOLDEN_SHA256
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_byte_for_byte(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(_IDS, unique=True, max_size=9))
+        dim = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        videos = [ClipMatrix(vid, rng.normal(size=(int(rng.integers(1, 4)), dim)))
+                  for vid in ids]
+        n = len(videos)
+        per_shard = data.draw(st.sampled_from(
+            [1, n + 1] + [k for k in range(2, n + 1) if n % k == 0]))
+        corpus_id = data.draw(st.sampled_from(_CORPUS_IDS))
+        new, ref = (tmp_path_factory.mktemp("new"), tmp_path_factory.mktemp("ref"))
+        handle = build_corpus(videos, new, corpus_id, videos_per_shard=per_shard)
+        build_corpus_reference(videos, ref, corpus_id, videos_per_shard=per_shard)
+        assert corpus_files(new) == corpus_files(ref)
+        assert handle.video_ids() == ids
+        assert len(handle.columns.shards) == -(-n // per_shard)
+
+    @pytest.mark.parametrize("case", ["mixed_dims", "mixed_dims_across_shards",
+                                      "duplicate", "duplicate_across_shards",
+                                      "nan_after_construction"])
+    def test_errors_match_reference(self, tmp_path, case):
+        videos = [ClipMatrix(f"v{i}", np.full((2, 3), i, dtype=np.float32))
+                  for i in range(5)]
+        if case.startswith("mixed_dims"):
+            videos[3] = ClipMatrix("v3", np.ones((1, 4), dtype=np.float32))
+        elif case.startswith("duplicate"):
+            videos[3] = videos[1]
+        else:
+            videos[3].values[1, 2] = np.nan
+            videos[4].values[0, 0] = np.inf
+        per_shard = 2 if case.endswith("across_shards") else 5
+        got = _build_error(build_corpus, videos, tmp_path, videos_per_shard=per_shard)
+        want = _build_error(build_corpus_reference, videos, tmp_path,
+                            videos_per_shard=per_shard)
+        assert (type(got), str(got)) == (type(want), str(want))
+        if case == "duplicate_across_shards":
+            assert str(got) == "corpus 'c': duplicate video id 'v1' in manifest"
+
+    def test_too_long_id_names_the_video(self, tmp_path):
+        videos = [ClipMatrix("ok", np.ones((1, 2))), ClipMatrix("x" * 70000, np.ones((1, 2)))]
+        got = _build_error(build_corpus, videos, tmp_path)
+        want = _build_error(build_corpus_reference, videos, tmp_path)
+        assert type(got) is type(want) is DataError
+        assert str(want) == "video id too long (70000 bytes)"
+        assert str(got) == f"video id {'x' * 40!r}... too long (70000 bytes)"
+        with pytest.raises(DataError, match=re.escape(str(got))):
+            write_shard(videos)
+
+    def test_id_that_is_not_utf8_names_the_video(self, tmp_path):
+        videos = [ClipMatrix("a\udcff", np.ones((1, 2)))]
+        message = re.escape("video id 'a\\udcff' is not valid UTF-8")
+        for build in (lambda: build_corpus(videos, tmp_path, "c"), lambda: write_shard(videos),
+                      lambda: CorpusHandle.from_arrays("c", "source", videos)):
+            with pytest.raises(DataError, match=message):
+                build()
+
+    def test_checks_run_in_write_shard_order(self):
+        # dims and duplicates of the whole shard first, then ids one by one
+        videos = [ClipMatrix("\udcff", np.ones((1, 2))), ClipMatrix("b", np.ones((1, 2))),
+                  ClipMatrix("c", np.ones((1, 3)))]
+        with pytest.raises(SchemaError, match="'c' has dim 3"):
+            write_shard(videos)
+        with pytest.raises(DataError, match="duplicate video_id 'b'"):
+            write_shard(videos[:2] + [videos[1]])
+        with pytest.raises(DataError, match="too long"):
+            write_shard([ClipMatrix("x" * 70000, np.ones((1, 2)))] + videos[:1])
+
+    def test_write_shard_does_not_check_values(self):
+        video = ClipMatrix("v", np.ones((1, 2)))
+        video.values[0, 1] = np.nan
+        data = write_shard([video])
+        assert data == write_shard_reference([video])
+        with pytest.raises(DataError, match="'v' contains non-finite values"):
+            ingest_shard(data, 2)
+
+    def test_from_arrays_matches_reference(self, rng):
+        videos = random_videos(rng, "vé", 20, 4, 3)
+        handle = CorpusHandle.from_arrays("c", "target", videos)
+        data = write_shard_reference(videos)
+        assert handle.manifest == ingest_shard(data, 3, shard_name=":memory:")
+        assert bytes(handle._shards[0].read(0, len(data) + 1)) == data
+        assert [v.values.tobytes() for v in handle.iter_videos()] == \
+            [v.values.tobytes() for v in videos]
+        videos[7].values[0, 0] = np.nan
+        with pytest.raises(DataError, match="'vé00007' contains non-finite values"):
+            CorpusHandle.from_arrays("c", "target", videos)
+
+    def test_empty_corpus(self, tmp_path):
+        handle = build_corpus([], tmp_path / "new", "c")
+        build_corpus_reference([], tmp_path / "ref", "c")
+        assert corpus_files(tmp_path / "new") == corpus_files(tmp_path / "ref") == \
+            {"c.manifest.jsonl": b""}
+        assert handle.video_count == 0
+        assert CorpusHandle.from_arrays("c", "source", []).video_count == 0
+
+    def test_each_shard_is_logged(self, rng, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="cupid"):
+            build_corpus(random_videos(rng, "v", 5, 2, 4), tmp_path, "c", videos_per_shard=2)
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            f"wrote shard c-0000{i}.shard" for i in range(3)]
+
+    @given(rows=st.lists(st.tuples(_IDS, st.sampled_from(["s.shard", "sé", 's"']),
+                                   st.integers(0, 2**63), st.integers(1, 9))))
+    @settings(max_examples=200, deadline=None)
+    def test_write_manifest_writes_json_dumps_lines(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("m") / "m.jsonl"
+        write_manifest([ManifestEntry(*row) for row in rows], path)
+        assert path.read_bytes() == "".join(
+            json.dumps(dict(zip(("video_id", "shard", "offset", "clip_count"), row))) + "\n"
+            for row in rows).encode("utf-8")
