@@ -21,12 +21,14 @@ import os
 import sys
 import tempfile
 import time
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, curation, kernels, nce, probe, similarity, store
-from .errors import ArgumentError, CupidError, UsageError
+from .errors import ArgumentError, CupidError, FormatError, UsageError
 
 log = logging.getLogger("cupid")
 
@@ -72,6 +74,14 @@ def _require_exists(path, what: str) -> Path:
     if not p.exists():
         raise UsageError(f"{what} {p} does not exist")
     return p
+
+
+def _read_json(path: Path, flag: str):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"{flag} {path}: invalid JSON ({exc})") from None
 
 
 class _Publisher:
@@ -135,22 +145,39 @@ def _bytes_read(*handles: store.CorpusHandle) -> int:
     return total
 
 
+def _load_arrays(path: Path, archive: bool = False) -> list[tuple[str, np.ndarray]]:
+    """(name, array) of a .npy file, named by its stem, or with archive of
+    every member of a .npz file. A file numpy cannot read so, or an array
+    that does not hold numbers, is a FormatError naming the file."""
+    try:
+        with open(path, "rb") as f:
+            if archive:
+                with np.lib.npyio.NpzFile(f) as members:
+                    arrays = [(key, members[key]) for key in sorted(members.files)]
+            else:
+                arrays = [(path.stem, np.lib.format.read_array(f))]
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        kind = ".npz archive" if archive else ".npy file"
+        raise FormatError(f"{path}: not a readable {kind} ({exc})") from None
+    for name, arr in arrays:
+        if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "iuf":
+            member = f" member {name!r}" if archive else ""
+            raise FormatError(f"{path}:{member} not an array of numbers")
+    return arrays
+
+
 def _load_embedding_inputs(input_path: Path) -> list[store.ClipMatrix]:
     """Read per-video arrays from a directory of .npy files or one .npz."""
-    videos = []
     if input_path.is_dir():
         files = sorted(input_path.glob("*.npy"))
         if not files:
             raise UsageError(f"no .npy files under {input_path}")
-        for f in files:
-            videos.append(_as_clip_matrix(f.stem, np.load(f)))
+        arrays = [pair for f in files for pair in _load_arrays(f)]
     elif input_path.suffix == ".npz":
-        archive = np.load(input_path)
-        for key in sorted(archive.files):
-            videos.append(_as_clip_matrix(key, archive[key]))
+        arrays = _load_arrays(input_path, archive=True)
     else:
         raise UsageError(f"--input must be a directory of .npy files or a .npz, got {input_path}")
-    return videos
+    return [_as_clip_matrix(video_id, arr) for video_id, arr in arrays]
 
 
 def _as_clip_matrix(video_id: str, arr: np.ndarray) -> store.ClipMatrix:
@@ -349,12 +376,12 @@ def cmd_probe(args) -> dict:
     queries_path = _require_exists(args.queries, "--queries")
     candidates_path = _require_exists(args.candidates, "--candidates")
     gt_path = _require_exists(args.ground_truth, "--ground-truth")
-    queries = np.load(queries_path)
-    candidates = np.load(candidates_path)
-    with open(gt_path, "r", encoding="utf-8") as f:
-        ground_truth = json.load(f)
-    if not isinstance(ground_truth, list):
-        raise UsageError("--ground-truth must be a JSON array of candidate indices")
+    [(_, queries)] = _load_arrays(queries_path)
+    [(_, candidates)] = _load_arrays(candidates_path)
+    ground_truth = _read_json(gt_path, "--ground-truth")
+    if not (isinstance(ground_truth, list) and all(type(i) is int for i in ground_truth)):
+        raise UsageError(f"--ground-truth {gt_path} must be a JSON array of integer "
+                         "candidate indices")
     try:
         ks = [int(k) for k in args.ks.split(",") if k.strip()]
     except ValueError:
@@ -529,31 +556,46 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in sub.choices.values():
         sp.add_argument("--config", default=None,
                         help="JSON file with option defaults; explicit flags win")
+        sp.set_defaults(_parser=sp)
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: list[str]) -> None:
+def _config_value(key: str, action: argparse.Action, value):
+    """A --config value, checked and converted as its flag's value would be."""
+    switch = action.nargs == 0  # such as --require-human-subtitles
+    if isinstance(value, (str, int, float)) and isinstance(value, bool) == switch:
+        try:
+            converted = value if switch else (action.type or str)(str(value))
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or converted in action.choices:
+                return converted
+    raise UsageError(f"--config key {key!r}: {value!r} is not a valid value of "
+                     f"{action.option_strings[0]}")
+
+
+def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
     """Fill options from --config for flags the user did not pass explicitly."""
     if not getattr(args, "config", None):
         return
-    config_path = _require_exists(args.config, "--config")
-    with open(config_path, "r", encoding="utf-8") as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--config {config_path}: invalid JSON ({exc})")
+    cfg = _read_json(_require_exists(args.config, "--config"), "--config")
     if not isinstance(cfg, dict):
         raise UsageError("--config must contain a JSON object")
-    explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
+    options = {action.dest: action for action in args._parser._actions
+               if action.dest not in ("help", "config")}
+    # Parse the command's flags again over a marker in every option: argparse
+    # overwrites the marker only where a flag (abbreviated or not) was given.
+    unset = object()
+    given = argparse.Namespace(**dict.fromkeys(options, unset))
+    args._parser.parse_args(argv[argv.index(args.command) + 1:], given)
     for key, value in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"--config key {key!r} is not an option of this command")
-        if flag in explicit:
-            continue
-        setattr(args, dest, value)
+        value = _config_value(key, action, value)
+        if getattr(given, action.dest) is unset:
+            setattr(args, action.dest, value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -566,7 +608,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        _apply_config_file(args, parser, argv)
+        _apply_config_file(args, argv)
         args._inputs = []
         args._outputs = []
         args._report_path = None

@@ -20,6 +20,17 @@ _score_blocks: one P x tile_cols block per source tile. stream_row_topk
 returns a RowTopK: P x k arrays of source indices and scores, each row
 sorted by (score desc, source id asc).
 
+Top-k keys
+----------
+The row top-k reducer codes each entry as one uint64 key whose ascending
+order is (score desc, source id asc), with 0.0 and -0.0 equal. Bits 32-63
+hold the float32 bits b of the score, -0.0 folded to +0.0, counting down:
+0x7FFFFFFF - b for b >= 0 and b itself below 0. Bits 1-31 hold the rank of
+the source id, so no two keys of a row are equal and the k smallest keys
+are one set whatever blocks they came in; a source corpus of 2^31 videos
+or more is a CapacityError. Bit 0 marks a -0.0 score, which comes back bit
+for bit.
+
 Pruned avg-sim selection
 ------------------------
 stream_column_means(..., top=c) under mean pooling scores exactly only the
@@ -87,6 +98,7 @@ MATRIX_VERSION = 1
 _MATRIX_HEADER = struct.Struct("<4sHII")
 # The smallest positive float32 (a subnormal): twice its largest rounding error.
 _F32_TINY = 2.0 ** -149
+_RANKS = 2 ** 31  # source ids a top-k key can rank
 
 
 class PoolingMode(enum.Enum):
@@ -339,24 +351,6 @@ def _id_rank(ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-def _top_k(scores32: np.ndarray, cols: np.ndarray, rank: np.ndarray,
-           k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k best (score, column) entries under (score desc, id rank asc),
-    in no particular order: all entries above the k-th largest score, then
-    the entries equal to it with the smallest id ranks."""
-    n = len(scores32)
-    if n <= k:
-        return scores32, cols
-    kth = np.partition(scores32, n - k)[n - k]
-    above = np.flatnonzero(scores32 > kth)
-    tied = np.flatnonzero(scores32 == kth)
-    need = k - len(above)
-    if len(tied) > need:
-        tied = tied[np.argpartition(rank[cols[tied]], need - 1)[:need]]
-    keep = np.concatenate((above, tied))
-    return scores32[keep], cols[keep]
-
-
 @dataclass(frozen=True, eq=False)
 class RowTopK:
     """Per-row top k of a P x N score matrix, as arrays.
@@ -378,53 +372,63 @@ class RowTopK:
 
 
 class _RowTopK:
-    """Per-row top-k of a P x N float32 score matrix fed in column blocks.
+    """Per-row top-k of a P x N float32 score matrix fed in column blocks
+    of at most block_cols, kept as the k smallest "Top-k keys" of each row
+    (see the module docstring). A dense matrix is the case of one block."""
 
-    Each row keeps its k best entries under (score desc, source id asc) as
-    a float32 score array and an intp source-index array, unordered until
-    result(). Ties go by the rank of the source id, not by column, so the
-    kept set is a function of the scores alone: block geometry and merge
-    order cannot change it. A dense matrix is the case of a single block.
-    """
-
-    def __init__(self, rows: int, k: int, source_ids: Sequence[str]):
+    def __init__(self, rows: int, k: int, source_ids: Sequence[str], block_cols: int):
+        if len(source_ids) >= _RANKS:
+            raise CapacityError(f"top-k keys rank fewer than {_RANKS} source videos, "
+                                f"got {len(source_ids)}")
         self.k = k
         self.ids = source_ids
-        self.rank = _id_rank(source_ids)
-        self.scores = [np.empty(0, dtype=np.float32)] * rows
-        self.cols = [np.empty(0, dtype=np.intp)] * rows
+        rank = _id_rank(source_ids)
+        self.order = np.argsort(rank)
+        self.rank_bits = rank.astype(np.uint64) << 1
+        # k kept keys per row, then room for one block's candidates
+        self.keys = np.empty((rows, k + min(k, block_cols)), dtype=np.uint64)
+        self.filled = 0
 
-    def candidates(self, block32: np.ndarray, col0: int) -> list[tuple]:
-        """The top k of each block row: its only entries that can make the
-        row's overall top k."""
-        cols = np.arange(col0, col0 + block32.shape[1])
-        return [_top_k(row, cols, self.rank, self.k) for row in block32]
+    def candidates(self, block32: np.ndarray, col0: int) -> np.ndarray:
+        """The k smallest keys of each block row: its only entries that can
+        make the row's overall top k."""
+        keys = block32.view(np.uint32).astype(np.uint64)
+        negzero = keys == 0x80000000
+        np.bitwise_xor(keys, 0x7FFFFFFF, out=keys, where=keys < 0x80000000)
+        keys -= negzero  # -0.0 counts as +0.0
+        keys <<= 32
+        keys |= self.rank_bits[col0:col0 + keys.shape[1]]
+        keys |= negzero
+        if keys.shape[1] <= self.k:
+            return keys
+        keys.partition(self.k - 1, axis=1)
+        return keys[:, :self.k].copy()
 
-    def merge(self, candidates: list[tuple]) -> None:
-        """Fold candidates() of every row into the kept entries."""
-        for j, (scores, cols) in enumerate(candidates):
-            if len(self.scores[j]) == self.k:
-                # A full row admits only scores >= its worst kept score
-                # (an equal score with a smaller id still wins).
-                enter = scores >= self.scores[j].min()
-                if not enter.any():
-                    continue
-                scores, cols = scores[enter], cols[enter]
-            self.scores[j], self.cols[j] = _top_k(
-                np.concatenate((self.scores[j], scores)),
-                np.concatenate((self.cols[j], cols)), self.rank, self.k)
+    def merge(self, candidates: np.ndarray) -> None:
+        """Fold candidates() of a block into the kept keys."""
+        end = self.filled + candidates.shape[1]
+        self.keys[:, self.filled:end] = candidates
+        self.filled = min(end, self.k)
+        if end > self.k:
+            self.keys[:, :end].partition(self.k - 1, axis=1)
 
     def result(self) -> RowTopK:
-        """The kept entries, each row sorted. Every row holds exactly k of
-        them once all columns have been merged."""
-        scores = np.empty((len(self.scores), self.k), dtype=np.float32)
-        cols = np.empty((len(self.cols), self.k), dtype=np.intp)
-        # Row by row: one lexsort over all rows would need P x k temporaries
-        # on top of the kept entries, and k is 3c in a KNN pool search.
-        for j, (row_scores, row_cols) in enumerate(zip(self.scores, self.cols)):
-            order = np.lexsort((self.rank[row_cols], -row_scores))
-            scores[j], cols[j] = row_scores[order], row_cols[order]
-        return RowTopK(self.ids, cols, scores)
+        """The kept entries, each row sorted; call once, after every column
+        has been merged (every row then holds exactly k entries)."""
+        keys = self.keys[:, :self.k]
+        keys.sort(axis=1)
+        ranks = np.empty(keys.shape, dtype=np.intp)
+        np.right_shift(keys, 1, out=ranks, casting="unsafe")
+        ranks &= _RANKS - 1
+        # Decode the scores in place; the -0.0 flag carries into the score
+        # field, turning 0x7FFFFFFF into 0x80000000.
+        keys |= 0xFFFFFFFE
+        keys += 1
+        keys >>= 32
+        np.bitwise_xor(keys, 0x7FFFFFFF, out=keys, where=keys < 0x80000000)
+        scores = keys.astype(np.uint32).view(np.float32)
+        self.keys = keys = None  # free the keys before the columns are made
+        return RowTopK(self.ids, self.order[ranks], scores)
 
 
 def stream_row_topk(target: CorpusHandle, source: CorpusHandle,
@@ -437,7 +441,8 @@ def stream_row_topk(target: CorpusHandle, source: CorpusHandle,
     """
     if k < 1:
         raise ArgumentError("k must be >= 1")
-    reducer = _RowTopK(target.video_count, min(k, source.video_count), source.video_ids())
+    reducer = _RowTopK(target.video_count, min(k, source.video_count), source.video_ids(),
+                       tile.tile_cols)
     lock = threading.Lock()
 
     def consume(lo: int, hi: int, block32: np.ndarray) -> None:

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: artifacts, reports, exit codes, determinism."""
+import hashlib
 import json
 import os
 import subprocess
@@ -659,6 +660,216 @@ class TestConfigFile:
         assert main(["curate", "--strategy", "avg-sim", "--config", str(cfg),
                      "--source-manifest", str(src), "--target-manifest", str(tgt),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    # A --config value goes through its flag's own type and choices; a flag on
+    # the command line wins, abbreviated or not.
+
+    def _curate(self, corpora, tmp_path, cfg, *flags):
+        src, tgt = corpora
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "picked.jsonl"
+        code = main(["curate", "--strategy", "knn", *flags, "--config", str(path),
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("cfg, key, value", [
+        ({"threads": "2"}, "threads", 2),
+        ({"tile_cols": 5}, "tile_cols", 5),
+        ({"expansion_factor": "3"}, "expansion_factor", 3.0),
+        ({"expansion_factor": 2}, "expansion_factor", 2.0),
+        ({"seed": "11"}, "seed", 11),
+        ({"pooling": "max"}, "pooling", "max"),
+        ({"require_human_subtitles": True}, "require_human_subtitles", True),
+    ])
+    def test_value_converted_like_its_flag(self, corpora, tmp_path, cfg, key, value):
+        code, out = self._curate(corpora, tmp_path, dict(cfg, capacity=4))
+        assert code == 0
+        report = json.loads(Path(str(out) + ".run.json").read_text())
+        assert report["config"][key] == value and type(report["config"][key]) is type(value)
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"threads": "two"}, "threads"),
+        ({"threads": True}, "threads"),
+        ({"tile_cols": 2.5}, "tile_cols"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": 3.0}, "seed"),
+        ({"capacity": None}, "capacity"),
+        ({"capacity": [5]}, "capacity"),
+        ({"expansion_factor": False}, "expansion_factor"),
+        ({"pooling": "avg"}, "pooling"),
+        ({"out": {"a": 1}}, "out"),
+        ({"require_human_subtitles": "yes"}, "require_human_subtitles"),
+        ({"require-human-subtitles": 1}, "require-human-subtitles"),
+    ])
+    def test_bad_value_is_a_usage_error_naming_the_key(self, corpora, tmp_path, capsys,
+                                                      cfg, key):
+        code, out = self._curate(corpora, tmp_path, dict({"capacity": 4}, **cfg))
+        assert code == 2
+        error = _single_error(capsys)
+        assert error["error"] == "usage" and error["message"].startswith(f"--config key {key!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--capacity=3"], ["--capa", "3"], ["--capa=3"]])
+    def test_explicit_flag_wins_abbreviated_or_not(self, corpora, tmp_path, flags):
+        code, out = self._curate(corpora, tmp_path, {"capacity": 7}, *flags)
+        assert code == 0
+        assert len(read_curation_manifest(out).entries) == 3
+
+    def test_config_that_is_not_utf8_is_a_usage_error(self, corpora, tmp_path, capsys):
+        src, tgt = corpora
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"capacity": "\xff"}')
+        assert main(["curate", "--strategy", "knn", "--config", str(cfg),
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert _single_error(capsys)["error"] == "usage"
+
+
+def _text_file(path):
+    path.write_text("not an array\n")
+
+
+def _string_array(path):
+    with open(path, "wb") as f:
+        np.save(f, np.array([["a", "b"]]))
+
+
+def _text_npz(path):
+    path.write_text("not an archive\n")
+
+
+def _npz_with_string_member(path):
+    with open(path, "wb") as f:
+        np.savez(f, ok=np.ones((1, 2), dtype=np.float32), bad=np.array([["x", "y"]]))
+
+
+def _corrupt_compressed_npz(path):
+    with open(path, "wb") as f:
+        np.savez_compressed(f, a=np.arange(1000, dtype=np.float32).reshape(100, 10))
+    data = bytearray(path.read_bytes())
+    data[60:200] = bytes(b ^ 0x55 for b in data[60:200])  # inside the deflated member
+    path.write_bytes(bytes(data))
+
+
+def _truncated_npy(path):
+    with open(path, "wb") as f:
+        np.save(f, np.ones((3, 2), dtype=np.float32))
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+class TestBadArrayInputs:
+    """A malformed array input is a typed error naming the file, and nothing
+    is published."""
+
+    @pytest.mark.parametrize("make", [_text_file, _string_array, _truncated_npy])
+    def test_ingest_npy_directory(self, tmp_path, capsys, make):
+        d = tmp_path / "npys"
+        d.mkdir()
+        np.save(d / "b.npy", np.ones((1, 2), dtype=np.float32))
+        make(d / "a.npy")
+        assert main(["ingest", "--input", str(d), "--out", str(tmp_path / "c")]) == 1
+        error = _single_error(capsys)
+        assert error["error"] == "format" and error["message"].startswith(f"{d / 'a.npy'}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["npys"]
+
+    @pytest.mark.parametrize("make", [_text_npz, _npz_with_string_member,
+                                      _corrupt_compressed_npz])
+    def test_ingest_npz(self, tmp_path, capsys, make):
+        make(tmp_path / "in.npz")
+        assert main(["ingest", "--input", str(tmp_path / "in.npz"),
+                     "--out", str(tmp_path / "c")]) == 1
+        error = _single_error(capsys)
+        assert error["error"] == "format"
+        assert error["message"].startswith(f"{tmp_path / 'in.npz'}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.npz"]
+
+    def _probe(self, tmp_path, queries=None, ground_truth="[0, 1]"):
+        np.save(tmp_path / "q.npy", np.eye(2, dtype=np.float32))
+        np.save(tmp_path / "c.npy", np.eye(2, dtype=np.float32))
+        if queries is not None:
+            queries(tmp_path / "q.npy")
+        (tmp_path / "gt.json").write_text(ground_truth)
+        out = tmp_path / "report.json"
+        code = main(["probe", "--queries", str(tmp_path / "q.npy"),
+                     "--candidates", str(tmp_path / "c.npy"),
+                     "--ground-truth", str(tmp_path / "gt.json"), "--out", str(out)])
+        assert not out.exists() or code == 0
+        return code
+
+    @pytest.mark.parametrize("make", [_text_file, _string_array, _truncated_npy])
+    def test_probe_queries(self, tmp_path, capsys, make):
+        assert self._probe(tmp_path, queries=make) == 1
+        error = _single_error(capsys)
+        assert error["error"] == "format" and error["message"].startswith(f"{tmp_path / 'q.npy'}: ")
+
+    @pytest.mark.parametrize("ground_truth", ["[0.5, 1]", "[[0], [1]]", "[true, 1]",
+                                              '{"0": 0}', "[0, 1", ""])
+    def test_probe_ground_truth(self, tmp_path, capsys, ground_truth):
+        assert self._probe(tmp_path, ground_truth=ground_truth) == 2
+        error = _single_error(capsys)
+        assert error["error"] == "usage"
+        assert error["message"].startswith(f"--ground-truth {tmp_path / 'gt.json'}")
+
+    def test_probe_accepts_good_inputs(self, tmp_path):
+        assert self._probe(tmp_path) == 0
+
+
+def _golden_topk_videos(prefix, n, salt):
+    """Videos made by integer arithmetic alone, so that no random generator's
+    stream decides their bytes: clip values in {-2, ..., 2}, which tie
+    often, and every third video scaled by 2^-100, so that its products with
+    another such video underflow to 0.0 or -0.0 in float32. Ids are a
+    permutation of the row order."""
+    videos = []
+    for i in range(n):
+        k = np.arange((1 + i % 2) * 3) * 7919 + (i + salt) * 104729
+        values = (k % 5 - 2).reshape(-1, 3).astype(np.float32)
+        if i % 3 == 0:
+            values *= np.float32(2.0 ** -100)
+        videos.append(ClipMatrix(f"{prefix}{i * 7 % n:02d}", values))
+    return videos
+
+
+# SHA-256 of `similarity --mode topk --topk 20` and of `curate --strategy knn
+# --capacity 5 --seed 3` (manifest, sidecar) on the golden corpora, per pooling.
+_GOLDEN_TOPK_SHA256 = {
+    "mean": {
+        "topk.jsonl": "c215c7d96b1de7da12f9ca8efeff9eecc5b0cade5b105c3ebc7305d77ac97826",
+        "knn.jsonl": "7805ef780308c670f52826daa6bdab4750e3c2aceb1a35f3d145710f40b0d2d7",
+        "knn.jsonl.meta.json":
+            "aa1c800c77b90ca77dac09d54cdca55390c2f6fa22f50be7136ca66b6b562d69",
+    },
+    "max": {
+        "topk.jsonl": "1caa8c09ecc1285fd5480fa0327b7f4a4a7f4bd2bcdb75e09726e2ec2dbfb3bf",
+        "knn.jsonl": "b6421349e88a86bf076cee18278830cfc4fe14e2f6abcd00f068eda6b6a9b448",
+        "knn.jsonl.meta.json":
+            "fe8d94ec260c7b60790e854d24951ca412d8cb7751dc377b2e376c12a7e0d114",
+    },
+}
+
+
+class TestGoldenTopk:
+    """Top-k and KNN artifacts with tied and signed-zero scores are pinned
+    byte for byte, whatever the numpy version, tiles or threads."""
+
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
+    @pytest.mark.parametrize("tile", [[], ["--threads", "2", "--tile-cols", "5"]])
+    def test_golden_bytes(self, tmp_path, pooling, tile):
+        build_corpus(_golden_topk_videos("s", 24, 0), tmp_path / "src", "src", role="source")
+        build_corpus(_golden_topk_videos("t", 5, 1), tmp_path / "tgt", "tgt", role="target")
+        common = ["--pooling", pooling, *tile,
+                  "--source-manifest", str(tmp_path / "src" / "src.manifest.jsonl"),
+                  "--target-manifest", str(tmp_path / "tgt" / "tgt.manifest.jsonl")]
+        assert main(["similarity", "--mode", "topk", "--topk", "20", *common,
+                     "--out", str(tmp_path / "topk.jsonl")]) == 0
+        assert main(["curate", "--strategy", "knn", "--capacity", "5", "--seed", "3",
+                     *common, "--out", str(tmp_path / "knn.jsonl")]) == 0
+        topk = (tmp_path / "topk.jsonl").read_text()
+        assert '"score": -0.0' in topk and '"score": 0.0' in topk
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in _GOLDEN_TOPK_SHA256[pooling]} == _GOLDEN_TOPK_SHA256[pooling]
 
 
 class TestDeterminism:

@@ -496,7 +496,8 @@ def _quantized_videos(rng, ids, dim):
 
 def _reducer_topk(view, k):
     """The streaming reducer fed the whole dense matrix as one block."""
-    reducer = _RowTopK(len(view.target_ids), min(k, len(view.source_ids)), view.source_ids)
+    n = len(view.source_ids)
+    reducer = _RowTopK(len(view.target_ids), min(k, n), view.source_ids, n)
     reducer.merge(reducer.candidates(view.matrix, 0))
     return reducer.result().rows()
 
@@ -544,6 +545,79 @@ class TestTopkTieOrder:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+def _hex_rows(rows):
+    """(id, score) rows with each score as float.hex, so -0.0 != 0.0."""
+    return [[(vid, score.hex()) for vid, score in row] for row in rows]
+
+
+class TestTopkSignedZeros:
+    """0.0 and -0.0 are one score: they tie, the smaller id goes first, and
+    each entry keeps the sign it was scored with."""
+
+    def _corpus(self, rng, role, ids, choices):
+        return CorpusHandle.from_arrays(role, role, [
+            ClipMatrix(vid, rng.choice(np.array(choices, dtype=np.float32), size=(1, 2)))
+            for vid in ids])
+
+    def test_reducer_ties_signed_zeros_by_id(self):
+        ids = ["s3", "s0", "s4", "s1", "s2"]
+        view = SimilarityView(["t0"], ids, np.array([[0.0, -0.0, 1.0, -0.0, 0.0]],
+                                                    dtype=np.float32))
+        want = [[("s4", "0x1.0000000000000p+0"), ("s0", "-0x0.0p+0"), ("s1", "-0x0.0p+0"),
+                 ("s2", "0x0.0p+0"), ("s3", "0x0.0p+0")]]
+        for k in range(1, 6):
+            assert _hex_rows(_reducer_topk(view, k)) == [want[0][:k]]
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_streamed_signed_zeros_match_dense(self, rng, pooling):
+        tiny = np.float32(1e-30)  # a product of two such clips underflows to +-0.0
+        n = 60
+        source = self._corpus(rng, "source", [f"s{i:02d}" for i in rng.permutation(n)],
+                              [-tiny, 0.0, tiny, -1.0, 1.0])
+        target = self._corpus(rng, "target", [f"t{j}" for j in range(4)], [-tiny, tiny, 1.0])
+        dense = build_similarity_matrix(target, source, pooling)
+        negative = np.signbit(dense.matrix)
+        zeros = dense.matrix == 0
+        assert (zeros & negative).any() and (zeros & ~negative).any()
+        for k in (1, 7, 20, 33, 45, n):
+            want = _hex_rows(row_topk_from_matrix(dense, k))
+            assert _hex_rows(_reducer_topk(dense, k)) == want
+            for tile in (TileConfig(tile_cols=1), TileConfig(tile_cols=7, threads=3),
+                         TileConfig()):
+                assert _hex_rows(stream_row_topk(target, source, pooling, k, tile).rows()) \
+                    == want, (k, tile)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_blocks_in_any_merge_order(self, data):
+        p, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+        values = data.draw(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+                                    min_size=p * n, max_size=p * n))
+        view = SimilarityView([f"t{j}" for j in range(p)],
+                              data.draw(st.permutations([f"s{i:02d}" for i in range(n)])),
+                              np.array(values, dtype=np.float32).reshape(p, n))
+        k = data.draw(st.integers(1, n))
+        bounds = [0, *sorted(data.draw(st.sets(st.integers(1, n), max_size=n)) - {n}), n]
+        blocks = data.draw(st.permutations(list(zip(bounds, bounds[1:]))))
+        reducer = _RowTopK(p, k, view.source_ids, max(hi - lo for lo, hi in blocks))
+        for lo, hi in blocks:
+            reducer.merge(reducer.candidates(view.matrix[:, lo:hi], lo))
+        assert _hex_rows(reducer.result().rows()) == _hex_rows(row_topk_from_matrix(view, k))
+
+    def test_source_ids_beyond_the_rank_field_rejected(self):
+        class Ids:
+            """2^31 source ids, never materialized."""
+
+            def __len__(self):
+                return 2 ** 31
+
+            def __getitem__(self, i):
+                raise AssertionError("the ids must not be read")
+
+        with pytest.raises(CapacityError, match="2147483648"):
+            _RowTopK(1, 1, Ids(), 1)
 
 
 def _scaled_corpus(source, factor):
