@@ -4,7 +4,8 @@ The pair score under mean pooling is the grand mean of all L x Q pairwise
 clip dot products; under max pooling it is their maximum. The mean is
 evaluated through per-video clip sums (the mean of all pairwise dots equals
 dot(sum of target clips, sum of source clips) / (L*Q)), which makes a pair
-cost O(dim) instead of O(L*Q*dim).
+cost O(dim) instead of O(L*Q*dim). The corpora's sums are read from their
+shards (CorpusHandle.load_sums), so mean pooling decodes no clip.
 
 Determinism contract
 --------------------
@@ -36,35 +37,44 @@ Pruned avg-sim selection
 stream_column_means(..., top=c) under mean pooling scores exactly only the
 sources whose mean can be among the c largest (bound-and-verify, as in the
 threshold algorithm of Fagin, Lotem and Naor, PODS 2001). Take target j's
-float64 clip sum T_j and clip count L_j as given, and source i's float32
-clips v with count Q_i and exact clip sum S_i. Source i's exact mean m_i
-is fl(fl(sum_j x_ij) / P) with x_ij = fl32(fl(T_j . fl(S_i)) / (L_j Q_i)),
-whose real counterpart is mu_i = S_i . C / Q_i for the target centre
-C = (1/P) sum_j T_j / L_j. One bound pass computes per source, with
-float64 np.einsum over the float32 clips,
+float64 clip sum T_j and clip count L_j, and source i's float64 clip sum
+S_i and clip count Q_i, as given: S_i is the sum its shard stores, which
+the exact pass scores too. Source i's exact mean m_i is fl(fl(sum_j x_ij) /
+P) with x_ij = fl32(fl(T_j . S_i) / fl(L_j Q_i)), whose real counterpart is
+mu_i = S_i . C / Q_i for the target centre C = (1/P) sum_j T_j / L_j. One
+bound pass computes per source, from its stored sum alone (one float64
+mat-vec and one row norm per tile),
 
-    a_i = sum_clips (v . C^) / Q_i,      C^ the float64 value of C,
-    B_i = K_i M R_i / Q_i + 2^-149,
-    K_i = 2^-23 + 8 (d + P + Q_i + 8) 2^-53,
+    a_i = fl(S_i . C^) / Q_i,      C^ the float64 value of C,
+    B_i = K M |S_i| / Q_i + 2^-149,
+    K = 2^-23 + 8 (d + P + 8) 2^-53,
 
-where M = (1/P) sum_j |T_j| / L_j, R_i = sum_clips |v| and d is the
-dimension; B_i >= |m_i - a_i|. With u = 2^-53 and G = M R_i / Q_i:
+where M = (1/P) sum_j |T_j| / L_j, |S_i| is the float64 value of the
+Euclidean norm of S_i and d is the dimension; B_i >= |m_i - a_i|. With
+u = 2^-53 and G = M |S_i| / Q_i:
 
-- exact side: by Cauchy-Schwarz |T_j . S_i| / (L_j Q_i) <= |T_j| R_i /
-  (L_j Q_i), whose mean over j is G. The float64 clip sum of S_i, the dot
-  product, the division and the target-order column sum plus the final
-  division by P each add at most Q_i u, d u, u and (P + 1) u times G (to
-  first order). The float32 rounding adds at most 2^-24 |x| + 2^-150 per
-  score, so 2^-24 G + 2^-150 to the mean.
-- estimate side: |C^ - C| <= (P + 1) u M and |C| <= M, so the clip dots,
-  their sum and the division by Q_i add at most (P + 1 + d + Q_i + 1) u G.
-- K_i holds twice the float32 term and four times the float64 terms, which
-  also covers the second-order terms, the rounding of B_i itself and of
-  a_i +- B_i (|a_i| <= G (1 + small)); 2^-149 is twice the subnormal term.
-  float64 neither overflows nor underflows: nonzero products of float32
-  values lie between 2^-298 and 2^256, and clip counts move them by far
-  less than the rest of its normal range.
-- A score can overflow float32 only if max_j(|T_j| / L_j) R_i / Q_i >=
+- exact side: by Cauchy-Schwarz |T_j . S_i| / (L_j Q_i) <= |T_j| |S_i| /
+  (L_j Q_i), whose mean over j is G. The dot product, the count product
+  and the division, and the target-order column sum plus the final
+  division by P each add at most d u, 2 u and (P + 1) u times G (to first
+  order). The float32 rounding adds at most 2^-24 |x| + 2^-150 per score,
+  so 2^-24 G + 2^-150 to the mean. S_i adds no error of its own: both
+  passes take the same stored value.
+- estimate side: |C^ - C| <= (P + 1) u M and |C^| <= M (1 + (P + 1) u), so
+  the dot product with S_i and the division by Q_i add at most
+  (P + 1 + d + 1) u G.
+- The float64 terms add up to (2P + 2d + 5) u G, and K holds more than
+  four times that, which covers the second-order terms and the rounding of
+  a_i +- B_i (|a_i| <= G (1 + small)). K also holds the float32 term
+  twice. The second copy covers the rounding of the computed G, |S_i| (a
+  relative (d/2 + 2) u) and M among it, as long as that is below one half,
+  and of B_i itself; 2^-149 is twice the subnormal term.
+- float64 neither overflows nor underflows: a nonzero float64 sum of
+  float32 values lies between 2^-149 and 2^160 in magnitude (fewer than
+  2^32 clips below 2^128 each), so the products of two lie between 2^-298
+  and 2^320, and counts below 2^64 move them by far less than the rest of
+  its normal range.
+- A score can overflow float32 only if max_j(|T_j| / L_j) |S_i| / Q_i >=
   2^127; such a source is always a candidate, with bounds -inf and +inf.
 
 The candidates are the sources with a_i + B_i >= t, where t is the c-th
@@ -90,8 +100,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ArgumentError, CapacityError, DataError, FormatError, SchemaError
-from .store import (ClipMatrix, CorpusHandle, _Tile, json_object, number_field, read_lines,
-                    str_field)
+from .store import (ClipMatrix, CorpusHandle, _segment_clip_sums, json_object, number_field,
+                    read_lines, str_field)
 
 MATRIX_MAGIC = b"CPDK"
 MATRIX_VERSION = 1
@@ -146,35 +156,22 @@ class SimilarityView:
     matrix: np.ndarray
 
 
-def _segment_clip_sums(clips32: np.ndarray, offsets: np.ndarray,
-                       counts: np.ndarray) -> np.ndarray:
-    """Per-video clip sums over a stacked tile, accumulated in float64.
-
-    Vectorized over videos but sequential over clip index, so each video's
-    sum is the same float64 whatever tile it is summed in.
-    """
-    n = len(counts)
-    acc = np.zeros((n, clips32.shape[1]), dtype=np.float64)
-    if n == 0 or len(clips32) == 0:
-        return acc
-    starts = offsets[:-1]
-    for k in range(int(counts.max())):
-        sel = np.nonzero(counts > k)[0]
-        acc[sel] += clips32[starts[sel] + k]
-    return acc
-
-
-def _prepare_side(tile: _Tile, pooling: PoolingMode) -> tuple[np.ndarray, np.ndarray]:
-    """A side's kernel arguments: (float64 clip sums, counts) or (float64 clips, offsets)."""
+def _prepare_side(corpus: CorpusHandle, span: tuple, pooling: PoolingMode) -> tuple:
+    """The kernel arguments of the corpus rows span (load_tile's arguments):
+    (float64 clip sums, counts), read by load_sums, under mean pooling, or
+    (float64 clips, offsets) of the decoded tile under max pooling."""
     if pooling is PoolingMode.MEAN:
-        return _segment_clip_sums(tile.clips, tile.offsets, tile.counts), tile.counts
+        return corpus.load_sums(*span)
+    tile = corpus.load_tile(*span)
     return tile.clips.astype(np.float64), tile.offsets
 
 
 def _video_side(video: ClipMatrix, pooling: PoolingMode) -> tuple[np.ndarray, np.ndarray]:
     count = video.clip_count
-    return _prepare_side(_Tile([video.video_id], np.array([count], dtype=np.intp),
-                               np.array([0, count], dtype=np.intp), video.values), pooling)
+    if pooling is PoolingMode.MEAN:
+        counts = np.array([count], dtype=np.intp)
+        return _segment_clip_sums(video.values, np.array([0, count]), counts), counts
+    return video.values.astype(np.float64), np.array([0, count], dtype=np.intp)
 
 
 def _score_block(target_side: tuple, source_side: tuple, pooling: PoolingMode) -> np.ndarray:
@@ -183,9 +180,14 @@ def _score_block(target_side: tuple, source_side: tuple, pooling: PoolingMode) -
 
 
 def _each_tile(n: int, tile: TileConfig, work: Callable[[int, int], None]) -> None:
-    """Call work(lo, hi) for each tile [lo, hi) of tile.tile_cols positions
-    in range(n), on tile.threads threads."""
-    spans = [(lo, min(lo + tile.tile_cols, n)) for lo in range(0, n, tile.tile_cols)]
+    """Call work(lo, hi) for each tile [lo, hi) of range(n), on tile.threads
+    threads. The tiles are near-equal, none wider than tile.tile_cols, and
+    as few as that allows with their count a multiple of the thread count
+    (or n, if that is smaller), so that the threads get equal shares."""
+    count = -(-n // tile.tile_cols)
+    count = min(-(-count // tile.threads) * tile.threads, n)
+    bounds = [k * n // count for k in range(count + 1)] if count else []
+    spans = list(zip(bounds[:-1], bounds[1:]))
     if tile.threads <= 1 or len(spans) <= 1:
         for lo, hi in spans:
             work(lo, hi)
@@ -202,7 +204,7 @@ def _target_side(target: CorpusHandle, source: CorpusHandle,
     p, n = target.video_count, source.video_count
     if p and n and target.dim != source.dim:
         raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
-    return _prepare_side(target.load_tile(0, p), pooling) if p else None
+    return _prepare_side(target, (0, p), pooling) if p else None
 
 
 def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: PoolingMode,
@@ -221,9 +223,9 @@ def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: Pool
         return
 
     def work(lo: int, hi: int) -> None:
-        # The decoded tile is freed once prepared, before the kernel runs.
+        # A decoded tile is freed once prepared, before the kernel runs.
         span = (lo, hi) if rows is None else (rows[lo:hi],)
-        source_side = _prepare_side(source.load_tile(*span), pooling)
+        source_side = _prepare_side(source, span, pooling)
         with np.errstate(over="ignore"):  # overflow is reported below
             block32 = _score_block(target_side, source_side, pooling).astype(np.float32)
         finite = np.isfinite(block32).all(axis=0)
@@ -281,19 +283,15 @@ def _mean_candidates(target_side: tuple, source: CorpusHandle, tile: TileConfig,
     center = scaled.sum(axis=0) / p
     norms = np.sqrt(np.einsum("jk,jk->j", scaled, scaled))
     spread, peak = norms.sum() / p, norms.max()
+    scale = (2.0 ** -23 + 8 * (dim + p + 8) * 2.0 ** -53) * spread
     n = source.video_count
     lower, upper = np.empty(n), np.empty(n)
 
     def work(lo: int, hi: int) -> None:
-        part = source.load_tile(lo, hi)
-        starts = part.offsets[:-1]
-        # float64 accumulation over float32 clips, without a float64 copy of them
-        dots = np.einsum("qk,k->q", part.clips, center)
-        lengths = np.sqrt(np.einsum("qk,qk->q", part.clips, part.clips, dtype=np.float64))
-        estimate = np.add.reduceat(dots, starts) / part.counts
-        reach = np.add.reduceat(lengths, starts) / part.counts
-        bound = (2.0 ** -23 + 8 * (dim + p + part.counts + 8) * 2.0 ** -53) * spread * reach
-        bound += _F32_TINY
+        sums, counts = source.load_sums(lo, hi)
+        estimate = np.einsum("qk,k->q", sums, center) / counts
+        reach = np.sqrt(np.einsum("qk,qk->q", sums, sums)) / counts
+        bound = scale * reach + _F32_TINY
         overflow = peak * reach >= 2.0 ** 127
         lower[lo:hi] = np.where(overflow, -np.inf, estimate - bound)
         upper[lo:hi] = np.where(overflow, np.inf, estimate + bound)

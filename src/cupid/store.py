@@ -3,14 +3,31 @@
 Shard layout (binary, little-endian):
 
     magic   4 bytes  b"CPDE"
-    version u16      currently 1
+    version u16      currently 2; version 1 shards are read too
     dim     u32      embedding dimension (0 only for empty shards)
     count   u32      number of videos
-    then per video:
+    then per video (the record area, the same in both versions):
         id_len     u16
         id         UTF-8 bytes
         clip_count u32
         values     clip_count * dim float32, row-major (clip, dim)
+    then, in version 2 only:
+        index      count u64 record offsets, count u32 clip counts,
+                   count u16 id lengths, then the ids' UTF-8 bytes
+        sums       count * dim float64, row-major (video, dim): each
+                   video's clips added in clip order to +0.0
+                   (_segment_clip_sums)
+        footer     u64 byte offset of the index, u64 byte offset of the sums
+
+The index and the sums let mean pooling, which needs only a video's clip
+sum, read no record: CorpusHandle.load_sums checks a tile's manifest rows
+against the index (id bytes, clip count, and an offset equal to a record
+offset) and reads their sums. A v1 shard, a row that disagrees with the
+index, or a shard that is not attached makes load_sums sum the tile's
+records instead, so a v1 corpus gives the same bits and a bad row raises
+what load_video raises. An index or footer that does not describe the
+record area exactly, a sums block cut short, or a stored sum that is not
+finite is a FormatError naming the shard.
 
 A corpus is a JSON-lines manifest, one object per video
 {"video_id","shard","offset","clip_count"}, plus the shard files it points
@@ -22,8 +39,11 @@ Writers trust validated ClipMatrix inputs: build_corpus and
 CorpusHandle.from_arrays compute each record's offset from its id length and
 clip count and never read a shard back, and they check the values once per
 shard, with one isfinite over its value rows, since a ClipMatrix's array can
-be changed in place after it was made. ingest_shard is the validator for
-shards that come from outside: it decodes and checks every record.
+be changed in place after it was made; they compute the clip sums once per
+shard, over its value rows. ingest_shard is the validator for shards that
+come from outside: it decodes and checks every record and, in a v2 shard,
+checks that the index matches the records and that each stored sum equals
+the sum of the decoded clips bit for bit.
 Every manifest line is the one json.dumps writes for its row.
 
 Manifests are read in chunks of about _CHUNK_BYTES. A chunk whose lines are
@@ -54,6 +74,14 @@ read: rows whose records follow each other in one shard with gaps under a
 page share a read. It gathers all value rows from that buffer in one copy
 and checks that they are finite. If any check or read fails, the rows are
 re-read one by one, so the error is the one load_video raises.
+
+A sums read (load_sums) finds each row's place in its shard's index with
+one searchsorted per shard and reads the sums of rows that follow each
+other in the index with one positional read straight into the float64
+result, so a contiguous tile costs one read per shard. Rows whose sums lie
+less than _SUM_GAP bytes apart share a read through a staging buffer of at
+most _SUM_WINDOW bytes, from which they are gathered. Each shard's index is
+read once per handle, on the first sums read that needs it.
 """
 from __future__ import annotations
 
@@ -79,14 +107,24 @@ from .errors import ArgumentError, DataError, FormatError, NotFoundError, Schema
 log = logging.getLogger(__name__)
 
 SHARD_MAGIC = b"CPDE"
-SHARD_VERSION = 1
+SHARD_VERSION = 2
+_VERSIONS = (1, 2)
 
 _HEADER = struct.Struct("<4sHII")
 _ID_LEN = struct.Struct("<H")
 _CLIP_COUNT = struct.Struct("<I")
+_FOOTER = struct.Struct("<QQ")  # v2: byte offsets of the index and of the sums
+_INDEX_ROW = 8 + 4 + 2          # v2 index bytes per video, its id aside
 # Records of one tile in one shard whose gap is shorter than this (a page)
 # are read together, gap included.
 _PAGE = 4096
+# Sums of one tile in one shard less than _SUM_GAP bytes apart share a read
+# (about what one more read costs in copied bytes); such a read goes through
+# a staging buffer of at most _SUM_WINDOW bytes.
+_SUM_GAP = 8 * _PAGE
+_SUM_WINDOW = 64 * _PAGE
+# Videos whose clip sums are computed together (see _segment_clip_sums).
+_SUM_CHUNK = 256
 
 SUBTITLE_SOURCES = ("human", "asr", "none")
 ROLES = ("source", "target")
@@ -164,20 +202,22 @@ def write_shard(videos: Sequence[ClipMatrix], dim: int | None = None) -> bytes:
 
 def _pack_shard(videos: Sequence[ClipMatrix], dim: int | None = None, *,
                 check_finite: bool) -> tuple[bytearray, np.ndarray, np.ndarray]:
-    """(shard bytes, record offsets, clip counts) of videos.
+    """(shard bytes, record offsets, clip counts) of videos, as a v2 shard.
 
     Every video must have dim (the first video's by default) and a unique id
     of at most 0xFFFF UTF-8 bytes; with check_finite, one isfinite over all
     of the shard's value rows checks the values too, as ingest_shard would.
-    The offsets are computed from the id lengths and clip counts: the bytes
-    are never read back.
+    The offsets are computed from the id lengths and clip counts and the
+    clip sums from the value rows, all at once: the bytes are never read
+    back.
     """
     if dim is None:
         dim = videos[0].dim if videos else 0
     n = len(videos)
     header = _HEADER.pack(SHARD_MAGIC, SHARD_VERSION, dim, n)
     if not n:
-        return bytearray(header), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        return bytearray(header + _FOOTER.pack(_HEADER.size, _HEADER.size)), empty, empty
     ids = [v.video_id for v in videos]
     try:
         values = np.concatenate([v.values for v in videos])
@@ -191,18 +231,55 @@ def _pack_shard(videos: Sequence[ClipMatrix], dim: int | None = None, *,
         raise DataError(f"video {bad.video_id!r} contains non-finite values")
     counts = np.fromiter(map(len, (v.values for v in videos)), dtype=np.int64, count=n)
     id_lens = np.fromiter(map(len, id_bytes), dtype=np.int64, count=n)
+    all_ids = np.frombuffer(b"".join(id_bytes), dtype=np.uint8)
     heads = _ID_LEN.size + id_lens + _CLIP_COUNT.size
     sizes = heads + counts * (dim * 4)
     offsets = _HEADER.size + np.cumsum(sizes) - sizes
-    buf = bytearray(_HEADER.size + int(sizes.sum()))
+    index_at = _HEADER.size + int(sizes.sum())
+    sums_at = index_at + n * _INDEX_ROW + len(all_ids)
+    buf = bytearray(sums_at + n * dim * 8 + _FOOTER.size)
     buf[:_HEADER.size] = header
     out = np.frombuffer(buf, dtype=np.uint8)
     _put_rows(out, offsets, id_lens.astype("<u2"))
-    out[_ranges(offsets + _ID_LEN.size, id_lens)] = np.frombuffer(b"".join(id_bytes),
-                                                                  dtype=np.uint8)
+    out[_ranges(offsets + _ID_LEN.size, id_lens)] = all_ids
     _put_rows(out, offsets + heads - _CLIP_COUNT.size, counts.astype("<u4"))
     _put_rows(out, _ranges(offsets + heads, counts, dim * 4), values.astype("<f4", copy=False))
+    index = [offsets.astype("<u8"), counts.astype("<u4"), id_lens.astype("<u2"), all_ids]
+    out[index_at:sums_at] = np.concatenate([column.view(np.uint8) for column in index])
+    clip_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=clip_offsets[1:])
+    sums = _segment_clip_sums(values, clip_offsets, counts)
+    out[sums_at:len(buf) - _FOOTER.size] = sums.astype("<f8", copy=False).reshape(-1).view(np.uint8)
+    buf[len(buf) - _FOOTER.size:] = _FOOTER.pack(index_at, sums_at)
     return buf, offsets, counts
+
+
+def _segment_clip_sums(clips32: np.ndarray, offsets: np.ndarray,
+                       counts: np.ndarray) -> np.ndarray:
+    """Per-video clip sums over a stacked tile, accumulated in float64.
+
+    Each video's clips are added in clip order to +0.0, so its sum is the
+    same float64 whatever tile it is summed in. The videos are summed in
+    chunks of _SUM_CHUNK, which keeps the temporaries small; taken longest
+    first, the videos of a chunk that have a k-th clip are a prefix, so
+    clip index k is one gather and one slice add.
+    """
+    n = len(counts)
+    sums = np.zeros((n, clips32.shape[1]), dtype=np.float64)
+    if n == 0 or len(clips32) == 0:
+        return sums
+    for lo in range(0, n, _SUM_CHUNK):
+        part = counts[lo:lo + _SUM_CHUNK]
+        order = np.argsort(-part, kind="stable")
+        starts = offsets[lo:lo + _SUM_CHUNK][order]
+        # reached[k]: the number of videos with more than k clips
+        reached = np.searchsorted(-part[order], -np.arange(1, int(part[order[0]]) + 1),
+                                  side="right")
+        acc = np.zeros((len(part), clips32.shape[1]), dtype=np.float64)
+        for k, m in enumerate(reached.tolist()):
+            acc[:m] += np.take(clips32, starts[:m] + k, axis=0)
+        sums[lo + order] = acc
+    return sums
 
 
 def _raise_first_conflict(videos: Sequence[ClipMatrix], dim: int) -> None:
@@ -322,16 +399,19 @@ def ingest_shard(stream: BinaryIO | bytes, expected_dim: int,
 
     Every record is fully decoded: ids must be unique, clip counts positive,
     values finite. The header dim must equal expected_dim (empty shards have
-    dim 0 and match any expectation).
+    dim 0 and match any expectation). A v2 shard's index must hold exactly
+    the records' offsets, clip counts and ids, and its stored sums must
+    equal the sums of the decoded clips bit for bit.
     """
     if expected_dim <= 0:
         raise ArgumentError("expected_dim must be positive")
     data = stream if isinstance(stream, (bytes, bytearray, memoryview)) else stream.read()
-    dim, video_count = read_shard_header(data, shard_name)
+    version, dim, video_count = read_shard_header(data, shard_name)
     if video_count > 0 and dim != expected_dim:
         raise SchemaError(f"shard {shard_name!r} has dim {dim}, expected {expected_dim}")
     shard = _Shard(shard_name, data)
     entries = []
+    values = []
     seen: set[str] = set()
     offset = _HEADER.size
     for _ in range(video_count):
@@ -340,23 +420,91 @@ def ingest_shard(stream: BinaryIO | bytes, expected_dim: int,
             raise DataError(f"duplicate video_id {video.video_id!r} in shard {shard_name!r}")
         seen.add(video.video_id)
         entries.append(ManifestEntry(video.video_id, shard_name, offset, video.clip_count))
+        values.append(video.values)
         offset = next_offset
-    if offset != shard.size:
-        raise FormatError(f"shard {shard_name!r} has {shard.size - offset} trailing bytes")
+    if version == 1:
+        if offset != shard.size:
+            raise FormatError(f"shard {shard_name!r} has {shard.size - offset} trailing bytes")
+        return entries
+    # The index's offsets and counts fix its id lengths; the records then
+    # end where the index begins.
+    index = _SumIndex.read(shard)[0]
+    counts = np.array([e.clip_count for e in entries], dtype=np.int64)
+    if not (np.array_equal(index.offsets, [e.offset for e in entries])
+            and np.array_equal(index.counts, counts)
+            and index.ids.tobytes() == "".join(e.video_id for e in entries).encode("utf-8")):
+        raise FormatError(f"shard {shard_name!r}: its index does not match its records")
+    clip_offsets = np.zeros(video_count + 1, dtype=np.int64)
+    np.cumsum(counts, out=clip_offsets[1:])
+    clips = np.concatenate(values) if values else np.empty((0, dim), dtype=np.float32)
+    sums = _segment_clip_sums(clips, clip_offsets, counts)
+    if bytes(shard.read(index.sums_at, shard.size - _FOOTER.size)) != sums.astype("<f8").tobytes():
+        raise FormatError(f"shard {shard_name!r}: its stored clip sums differ from the sums "
+                          "of its clips")
     return entries
 
 
-def read_shard_header(buf, shard_name: str) -> tuple[int, int]:
-    """Return (dim, video_count) from raw shard bytes; a bad header is a
-    FormatError naming the shard."""
+def read_shard_header(buf, shard_name: str) -> tuple[int, int, int]:
+    """Return (version, dim, video_count) from raw shard bytes; a bad header
+    is a FormatError naming the shard."""
     if len(buf) < _HEADER.size:
         raise FormatError(f"shard {shard_name!r} shorter than header")
     magic, version, dim, video_count = _HEADER.unpack_from(buf, 0)
     if magic != SHARD_MAGIC:
         raise FormatError(f"shard {shard_name!r}: bad magic {magic!r}")
-    if version != SHARD_VERSION:
+    if version not in _VERSIONS:
         raise FormatError(f"shard {shard_name!r}: unsupported version {version}")
-    return dim, video_count
+    return version, dim, video_count
+
+
+@dataclass(frozen=True, eq=False)
+class _SumIndex:
+    """The index of a v2 shard: row i is the record at offsets[i] with
+    counts[i] clips and the id ids[id_starts[i]:id_starts[i] + id_lens[i]]
+    (int64 columns, offsets ascending); its sum is the dim float64 values at
+    byte sums_at + i * dim * 8."""
+
+    dim: int
+    offsets: np.ndarray
+    counts: np.ndarray
+    id_lens: np.ndarray
+    id_starts: np.ndarray
+    ids: np.ndarray         # uint8
+    sums_at: int
+
+    @classmethod
+    def read(cls, shard: _Shard) -> tuple["_SumIndex | None", int]:
+        """The index of shard and the bytes read for it; None for a v1
+        shard. An index that does not describe the record area exactly, or a
+        footer that does not place the index and the sums inside the shard,
+        is a FormatError naming it."""
+        version, dim, count = read_shard_header(shard.read(0, _HEADER.size), shard.name)
+        if version == 1:
+            return None, _HEADER.size
+        if shard.size < _HEADER.size + _FOOTER.size:
+            raise FormatError(f"shard {shard.name!r} has no room for its footer")
+        index_at, sums_at = _FOOTER.unpack(shard.read(shard.size - _FOOTER.size, shard.size))
+        if not (_HEADER.size <= index_at <= sums_at - count * _INDEX_ROW
+                and sums_at + count * dim * 8 + _FOOTER.size == shard.size):
+            raise FormatError(f"shard {shard.name!r}: its footer does not place its index "
+                              "and sums inside it")
+        data = np.frombuffer(shard.read(index_at, sums_at), dtype=np.uint8)
+        columns = np.split(data, np.cumsum([8 * count, 4 * count, 2 * count]))
+        offsets, counts, id_lens = (column.view(dtype) for column, dtype
+                                    in zip(columns, ("<u8", "<u4", "<u2")))
+        ids = columns[3]
+        # Every term is bounded before the record ends are summed from them.
+        valid = ((offsets < index_at).all() and (counts >= 1).all()
+                 and (counts <= index_at // max(dim * 4, 1)).all()
+                 and int(id_lens.sum(dtype=np.int64)) == len(ids))
+        if valid:
+            offsets, counts, id_lens = (c.astype(np.int64) for c in (offsets, counts, id_lens))
+            ends = offsets + (_ID_LEN.size + _CLIP_COUNT.size) + id_lens + counts * (dim * 4)
+            valid = np.array_equal(np.append(offsets, index_at), np.append(_HEADER.size, ends))
+        if not valid:
+            raise FormatError(f"shard {shard.name!r}: its index does not describe its records")
+        return cls(dim, offsets, counts, id_lens, np.cumsum(id_lens) - id_lens, ids,
+                   sums_at), _HEADER.size + _FOOTER.size + len(data)
 
 
 @dataclass
@@ -440,7 +588,7 @@ class CorpusHandle:
     The manifest is held as ManifestColumns (`columns`); `manifest` builds
     its rows as ManifestEntry objects on each access. The id -> row map
     load_video needs is built on its first call. `bytes_read` counts the
-    shard bytes its record reads have taken so far.
+    shard bytes its record, index and sums reads have taken so far.
     """
 
     def __init__(self, corpus_id: str, role: str,
@@ -467,6 +615,9 @@ class CorpusHandle:
         self._shard_sizes = np.array([-1 if shard is None else shard.size
                                       for shard in self._shards], dtype=np.int64)
         self._rows: dict[str, int] | None = None
+        # Per shard code: its _SumIndex, or None for a v1 shard; filled by
+        # the first sums read that needs it.
+        self._sum_indexes: dict[int, _SumIndex | None] = {}
         self._lock = threading.Lock()
         self.bytes_read = 0
 
@@ -518,24 +669,145 @@ class CorpusHandle:
         or read fails, they are re-read one by one through _load_entry, so
         the error raised is the one load_video raises for the first bad row.
         """
-        if stop is None:
-            rows = np.asarray(start, dtype=np.intp)
-            if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= self.video_count
-                                                  or (np.diff(rows) <= 0).any())):
-                raise ArgumentError("tile rows must be ascending row indices of the corpus")
-            row_list = rows.tolist()
-            ids = [self.columns.ids[row] for row in row_list]
-        else:
-            rows = slice(start, stop)
-            row_list = range(self.video_count)[rows]
-            ids = self.columns.ids[rows]
+        rows, ids = self._tile_rows(start, stop)
         clips = self._copy_records(rows, ids)
         if clips is None:
+            row_list = rows.tolist() if stop is None else range(self.video_count)[rows]
             clips = np.concatenate([self._load_entry(row).values for row in row_list])
         counts = np.asarray(self.columns.clip_counts[rows], dtype=np.intp)
         offsets = np.zeros(len(ids) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         return _Tile(ids=ids, counts=counts, offsets=offsets, clips=clips)
+
+    def load_sums(self, start: int | np.ndarray,
+                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(float64 clip sums (n, dim), intp clip counts (n,)) of manifest
+        rows [start, stop), or with stop omitted of the rows named by start,
+        an ascending array of row indices.
+
+        A row's sum is its clips added in clip order to +0.0, as
+        _segment_clip_sums adds them. The sums are read from the shards'
+        sums blocks by _read_sums. If a row's shard is a v1 shard or not
+        attached, or a row disagrees with its shard's index, the tile is
+        summed from its records (load_tile) instead, so the bits are the
+        same and a bad row raises what load_video raises.
+        """
+        rows, ids = self._tile_rows(start, stop)
+        sums = self._read_sums(rows, ids)
+        if sums is None:
+            tile = self.load_tile(start, stop)
+            return _segment_clip_sums(tile.clips, tile.offsets, tile.counts), tile.counts
+        return sums, np.asarray(self.columns.clip_counts[rows], dtype=np.intp)
+
+    def _tile_rows(self, start: int | np.ndarray,
+                   stop: int | None) -> tuple[slice | np.ndarray, list[str]]:
+        """The rows of a tile (a slice, or a checked array of row indices if
+        stop is None) and their ids."""
+        if stop is not None:
+            rows = slice(start, stop)
+            return rows, self.columns.ids[rows]
+        rows = np.asarray(start, dtype=np.intp)
+        if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= self.video_count
+                                              or (np.diff(rows) <= 0).any())):
+            raise ArgumentError("tile rows must be ascending row indices of the corpus")
+        return rows, [self.columns.ids[row] for row in rows.tolist()]
+
+    def _read_sums(self, rows: slice | np.ndarray, ids: list[str]) -> np.ndarray | None:
+        """The stored float64 sums of the rows (a slice or an index array),
+        or None unless every row's shard has a sums index (is attached, v2,
+        of the corpus dim) and the row's id bytes, clip count and offset
+        equal those of one of its entries.
+
+        A stored sum that is not finite is a FormatError naming its shard.
+        """
+        if not ids:
+            return np.empty((0, self.dim), dtype=np.float64)
+        if not self.dim:  # as _copy_records does
+            return None
+        n = len(ids)
+        joined = "".join(ids)
+        try:
+            id_bytes = joined.encode()
+            offsets = np.asarray(self.columns.offsets[rows], dtype=np.int64)
+            counts = np.asarray(self.columns.clip_counts[rows], dtype=np.int64)
+        except (UnicodeEncodeError, OverflowError):
+            return None
+        id_lens = np.fromiter(map(len, ids), dtype=np.int64, count=n)
+        if len(id_bytes) != len(joined):  # not all ASCII: lengths in bytes
+            id_lens = np.fromiter(map(len, map(str.encode, ids)), dtype=np.int64, count=n)
+        codes = self.columns.codes[rows]
+        # Each row's entry in its shard's index, and the stored bytes of its id.
+        at = np.empty(n, dtype=np.int64)
+        stored_ids = np.empty(len(id_bytes), dtype=np.uint8)
+        id_starts = np.cumsum(id_lens) - id_lens
+        indexes = {}
+        # not np.unique, whose first call imports numpy.ma (about 17 ms)
+        shard_codes = np.flatnonzero(np.bincount(codes)).tolist()
+        for code in shard_codes:
+            index = indexes[code] = self._sum_index(code)
+            if index is None or not len(index.offsets):
+                return None
+            sel = slice(None) if len(shard_codes) == 1 else np.flatnonzero(codes == code)
+            found = np.searchsorted(index.offsets, offsets[sel])
+            np.minimum(found, len(index.offsets) - 1, out=found)
+            if not ((index.offsets[found] == offsets[sel]) & (index.counts[found] == counts[sel])
+                    & (index.id_lens[found] == id_lens[sel])).all():
+                return None
+            stored_ids[_ranges(id_starts[sel], id_lens[sel])] = index.ids[
+                _ranges(index.id_starts[found], id_lens[sel])]
+            at[sel] = found
+        if stored_ids.tobytes() != id_bytes:
+            return None
+        sums = np.empty((n, self.dim), dtype=np.float64)
+        # Runs of rows in one shard, in index order, with small gaps.
+        steps = np.diff(at)
+        new = np.ones(n, dtype=bool)
+        new[1:] = (codes[1:] != codes[:-1]) | (steps <= 0) | (steps * (self.dim * 8) > _SUM_GAP)
+        bounds = np.append(np.flatnonzero(new), n).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            code = int(codes[lo])
+            self._read_sum_run(code, indexes[code].sums_at, at[lo:hi], sums[lo:hi])
+        if not np.isfinite(sums).all():
+            bad = int(np.argmin(np.isfinite(sums).all(axis=1)))
+            raise FormatError(f"shard {self.columns.shards[codes[bad]]!r}: the stored clip "
+                              f"sum of video {ids[bad]!r} is not finite")
+        return sums
+
+    def _read_sum_run(self, code: int, sums_at: int, at: np.ndarray, out: np.ndarray) -> None:
+        """Fill out with the sums of entries at (ascending) of shard code:
+        straight into out if they follow each other, else through staging
+        buffers of at most _SUM_WINDOW bytes."""
+        shard = self._shards[code]
+        row_bytes = out.shape[1] * 8
+        if at[-1] - at[0] + 1 == len(at):
+            shard.read_into(sums_at + int(at[0]) * row_bytes, out.reshape(-1).view(np.uint8))
+            self._count(out.nbytes)
+            return
+        window = max(_SUM_WINDOW // row_bytes, 1)
+        lo = 0
+        while lo < len(at):
+            first = int(at[lo])
+            hi = lo + int(np.searchsorted(at[lo:], first + window))
+            stage = np.empty((int(at[hi - 1]) - first + 1, out.shape[1]), dtype=np.float64)
+            shard.read_into(sums_at + first * row_bytes, stage.reshape(-1).view(np.uint8))
+            self._count(stage.nbytes)
+            out[lo:hi] = stage[at[lo:hi] - first]
+            lo = hi
+
+    def _sum_index(self, code: int) -> _SumIndex | None:
+        """The sums index of shard code, read on first use; None if the shard
+        is not attached, is a v1 shard, or has another dim than the corpus."""
+        with self._lock:
+            if code not in self._sum_indexes:
+                shard = self._shards[code]
+                index = None
+                if shard is not None:
+                    index, n_bytes = _SumIndex.read(shard)
+                    self.bytes_read += n_bytes
+                    if index is not None and index.dim != self.dim:
+                        index = None
+                self._sum_indexes[code] = index
+            return self._sum_indexes[code]
 
     def _copy_records(self, rows: slice | np.ndarray, ids: list[str]) -> np.ndarray | None:
         """The stacked float32 values of the rows (a slice or an index
@@ -637,7 +909,7 @@ class CorpusHandle:
             if not shard_path.exists():
                 raise NotFoundError(f"shard file {shard_path} missing")
             shard = _Shard(shard_name, path=shard_path)
-            shard_dim, _ = read_shard_header(shard.read(0, _HEADER.size), shard_name)
+            _, shard_dim, _ = read_shard_header(shard.read(0, _HEADER.size), shard_name)
             if shard_dim != 0:
                 if dim is None:
                     dim = shard_dim

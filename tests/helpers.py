@@ -142,8 +142,11 @@ def read_manifest_lines(path):
     return entries
 
 
-def write_shard_reference(videos, dim=None):
-    """A shard serialized field by field, as store.write_shard first did."""
+def write_shard_reference(videos, dim=None, version=2):
+    """A shard serialized field by field: the records as store.write_shard
+    first wrote them (all of a version 1 shard), then for version 2 the
+    index, each video's clip sum added clip by clip to +0.0 in float64, and
+    the footer."""
     if dim is None:
         dim = videos[0].dim if videos else 0
     seen = set()
@@ -154,23 +157,44 @@ def write_shard_reference(videos, dim=None):
             raise DataError(f"duplicate video_id {v.video_id!r} in shard")
         seen.add(v.video_id)
     out = io.BytesIO()
-    out.write(struct.pack("<4sHII", b"CPDE", 1, dim, len(videos)))
+    out.write(struct.pack("<4sHII", b"CPDE", version, dim, len(videos)))
+    offsets = []
     for v in videos:
         id_bytes = v.video_id.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise DataError(f"video id too long ({len(id_bytes)} bytes)")
+        offsets.append(out.tell())
         out.write(struct.pack("<H", len(id_bytes)))
         out.write(id_bytes)
         out.write(struct.pack("<I", v.clip_count))
         out.write(v.values.astype("<f4", copy=False).tobytes())
+    if version == 1:
+        return out.getvalue()
+    index_at = out.tell()
+    for offset in offsets:
+        out.write(struct.pack("<Q", offset))
+    for v in videos:
+        out.write(struct.pack("<I", v.clip_count))
+    for v in videos:
+        out.write(struct.pack("<H", len(v.video_id.encode("utf-8"))))
+    for v in videos:
+        out.write(v.video_id.encode("utf-8"))
+    sums_at = out.tell()
+    for v in videos:
+        acc = np.zeros(dim, dtype=np.float64)
+        for clip in v.values:
+            acc = acc + clip.astype(np.float64)
+        out.write(acc.astype("<f8").tobytes())
+    out.write(struct.pack("<QQ", index_at, sums_at))
     return out.getvalue()
 
 
-def build_corpus_reference(videos, out_dir, corpus_id, role="source", videos_per_shard=4096):
+def build_corpus_reference(videos, out_dir, corpus_id, role="source", videos_per_shard=4096,
+                           version=2):
     """store.build_corpus by its first path: each shard is serialized by
-    write_shard_reference, written, and decoded again in full by
-    ingest_shard for its manifest rows, and each manifest line is one
-    json.dumps."""
+    write_shard_reference (in the given shard version), written, and
+    decoded again in full by ingest_shard for its manifest rows, and each
+    manifest line is one json.dumps."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries, dim = [], None
@@ -179,7 +203,7 @@ def build_corpus_reference(videos, out_dir, corpus_id, role="source", videos_per
         batch = videos[start:start + videos_per_shard]
         dim = batch[0].dim if dim is None else dim
         name = f"{corpus_id}-{start // videos_per_shard:05d}.shard"
-        data = write_shard_reference(batch, dim)
+        data = write_shard_reference(batch, dim, version)
         (out_dir / name).write_bytes(data)
         entries += ingest_shard(data, dim, shard_name=name)
     manifest_path = out_dir / f"{corpus_id}.manifest.jsonl"

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -231,22 +232,31 @@ class TestCurate:
 class TestShardBytesRead:
     def test_run_report_counts_the_shard_bytes_read(self, corpora, tmp_path, caplog):
         src, tgt = corpora
-        shards = [p for d in (src.parent, tgt.parent) for p in d.glob("*.shard")]
-        record_bytes = sum(p.stat().st_size - 14 for p in shards)  # all but the headers
+        shards = [p.read_bytes() for d in (src.parent, tgt.parent) for p in d.glob("*.shard")]
+        # Max pooling reads the records: all but the header, index, sums and
+        # footer. Mean pooling reads each shard's header, and what follows
+        # its records (index, sums, footer), whose offset the footer gives.
+        after_records = [len(data) - struct.unpack("<Q", data[-16:-8])[0] for data in shards]
+        record_bytes = sum(len(data) - 14 for data in shards) - sum(after_records)
+        sum_bytes = sum(n + 14 for n in after_records)
         caplog.set_level("INFO", logger="cupid")
         corpus_flags = ["--source-manifest", str(src), "--target-manifest", str(tgt)]
         reads = {}
         for name, command in [("full", ["curate", "--strategy", "avg-sim", "--capacity", "30"]),
                               ("pruned", ["curate", "--strategy", "avg-sim", "--capacity", "6"]),
-                              ("col-means", ["similarity", "--mode", "col-means"])]:
+                              ("col-means", ["similarity", "--mode", "col-means"]),
+                              ("max", ["curate", "--strategy", "avg-sim", "--capacity", "6",
+                                       "--pooling", "max"])]:
             out = tmp_path / f"{name}.jsonl"
             assert main(command + corpus_flags + ["--out", str(out)]) == 0
             report = json.loads(Path(f"{out}.run.json").read_text())
             reads[name] = report["summary"]["bytes_read"]
-        # Every record once, in one read per shard and tile; a pruned run
-        # reads its candidates' records a second time.
-        assert reads["full"] == reads["col-means"] == record_bytes
-        assert record_bytes < reads["pruned"] < 2 * record_bytes
+        # Every sum (or record) once, in one read per shard and tile; a
+        # pruned run reads its candidates' sums a second time.
+        assert reads["full"] == reads["col-means"] == sum_bytes
+        assert sum_bytes < reads["pruned"] < 2 * sum_bytes
+        assert reads["max"] == record_bytes
+        assert f"read {sum_bytes} shard bytes" in caplog.text
         assert f"read {record_bytes} shard bytes" in caplog.text
 
 
@@ -589,13 +599,16 @@ class TestTracedEntryPoints:
             self, corpora, tmp_path, monkeypatch, caplog):
         """The tracer wraps similarity.stream_column_means,
         CorpusHandle.load_tile and kernels.mean_score_block. A pruned
-        avg-sim run must go through all three, and its kernel blocks must
-        hold P x c' cells, c' being the summary's scored count."""
+        avg-sim run must go through the first and the last, read its clip
+        sums through CorpusHandle.load_sums and decode no clip (load_tile),
+        and its kernel blocks must hold P x c' cells, c' being the summary's
+        scored count."""
         from cupid import similarity, store
 
-        calls = {"means": 0, "tiles": [], "cells": 0}
+        calls = {"means": 0, "tiles": [], "sums": [], "cells": 0}
         column_means = similarity.stream_column_means
-        load_tile, mean_block = store.CorpusHandle.load_tile, kernels.mean_score_block
+        load_tile, load_sums = store.CorpusHandle.load_tile, store.CorpusHandle.load_sums
+        mean_block = kernels.mean_score_block
 
         def traced_means(*args, **kwargs):
             calls["means"] += 1
@@ -606,6 +619,11 @@ class TestTracedEntryPoints:
             calls["tiles"].append((handle.role, len(args), len(tile.ids)))
             return tile
 
+        def traced_sums(handle, *args, **kwargs):
+            sums, counts = load_sums(handle, *args, **kwargs)
+            calls["sums"].append((handle.role, len(args), len(counts)))
+            return sums, counts
+
         def traced_block(*args):
             block = mean_block(*args)
             calls["cells"] += block.size
@@ -613,6 +631,7 @@ class TestTracedEntryPoints:
 
         monkeypatch.setattr(similarity, "stream_column_means", traced_means)
         monkeypatch.setattr(store.CorpusHandle, "load_tile", traced_tile)
+        monkeypatch.setattr(store.CorpusHandle, "load_sums", traced_sums)
         monkeypatch.setattr(kernels, "mean_score_block", traced_block)
         caplog.set_level("INFO", logger="cupid")
         src, tgt = corpora
@@ -626,8 +645,9 @@ class TestTracedEntryPoints:
         assert scored == 6  # this corpus has no source within its bound of the cut
         assert calls["cells"] == 4 * scored
         # targets once, every source in the bound pass, the candidates gathered
-        assert sorted(calls["tiles"]) == [("source", 1, 6), ("source", 2, 30),
-                                          ("target", 2, 4)]
+        assert sorted(calls["sums"]) == [("source", 1, 6), ("source", 2, 30),
+                                         ("target", 2, 4)]
+        assert calls["tiles"] == []
         assert "30 sources, capacity 6, 6 scored exactly" in caplog.text
 
 
@@ -870,6 +890,83 @@ class TestGoldenTopk:
         assert '"score": -0.0' in topk and '"score": 0.0' in topk
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in _GOLDEN_TOPK_SHA256[pooling]} == _GOLDEN_TOPK_SHA256[pooling]
+
+
+class TestShardVersions:
+    """The same corpora in version 1 shards (no sums block, so mean pooling
+    sums the records) and in version 2 shards give byte-identical artifacts
+    for every scoring command, pooling, thread count and tile width."""
+
+    COMMANDS = {
+        "avg-sim": ["curate", "--strategy", "avg-sim", "--capacity", "5"],
+        "avg-sim-all": ["curate", "--strategy", "avg-sim", "--capacity", "24"],
+        "knn": ["curate", "--strategy", "knn", "--capacity", "5", "--seed", "3"],
+        "col-means": ["similarity", "--mode", "col-means"],
+        "topk": ["similarity", "--mode", "topk", "--topk", "7"],
+        "matrix": ["similarity", "--mode", "matrix"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
+    def test_v1_and_v2_shards_give_the_same_bytes(self, tmp_path, command, pooling):
+        from helpers import build_corpus_reference
+
+        sources, targets = _golden_topk_videos("s", 24, 0), _golden_topk_videos("t", 5, 1)
+        for version in (1, 2):
+            build_corpus_reference(sources, tmp_path / f"v{version}" / "src", "src",
+                                   videos_per_shard=7, version=version)
+            build_corpus_reference(targets, tmp_path / f"v{version}" / "tgt", "tgt",
+                                   role="target", videos_per_shard=3, version=version)
+        artifacts = {}
+        for version in ("v1", "v2"):
+            corpus = ["--source-manifest", str(tmp_path / version / "src" / "src.manifest.jsonl"),
+                      "--target-manifest", str(tmp_path / version / "tgt" / "tgt.manifest.jsonl")]
+            for threads in ("1", "2"):
+                for tile_cols in ("1", "7", "4096"):
+                    out = tmp_path / f"{version}-{threads}-{tile_cols}" / "out"
+                    out.parent.mkdir()
+                    assert main([*self.COMMANDS[command], "--pooling", pooling,
+                                 "--threads", threads, "--tile-cols", tile_cols, *corpus,
+                                 "--out", str(out)]) == 0
+                    artifacts[out.parent.name] = {
+                        p.name: p.read_bytes() for p in out.parent.iterdir()
+                        if not p.name.endswith(".run.json")}
+        first = artifacts.pop("v1-1-1")
+        assert first and all(got == first for got in artifacts.values())
+
+
+class TestCorruptSums:
+    """A corrupt sums block, index or footer is a format error naming the
+    shard, and the command publishes nothing."""
+
+    @pytest.mark.parametrize("kind", ["cut-sums", "cut-index", "footer-past-end", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["curate", "--strategy", "avg-sim", "--capacity", "6"],
+        ["curate", "--strategy", "knn", "--capacity", "6"],
+        ["similarity", "--mode", "col-means"],
+    ], ids=["avg-sim", "knn", "col-means"])
+    def test_format_error_naming_the_shard(self, corpora, tmp_path, capsys, kind, command):
+        src, tgt = corpora
+        shard = sorted(src.parent.glob("*.shard"))[0]
+        data = bytearray(shard.read_bytes())
+        index_at, sums_at = struct.unpack("<QQ", data[-16:])
+        if kind == "cut-sums":
+            del data[-24:-16]
+        elif kind == "cut-index":
+            del data[index_at]
+        elif kind == "footer-past-end":
+            data[-8:] = struct.pack("<Q", len(data))
+        else:
+            data[sums_at + 8:sums_at + 16] = struct.pack("<d", float("nan"))
+        shard.write_bytes(bytes(data))
+        capsys.readouterr()
+        out = tmp_path / "out" / "result.jsonl"
+        assert main([*command, "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(out)]) == 1
+        error = _single_error(capsys)
+        assert error["error"] == "format"
+        assert error["message"].startswith(f"shard {shard.name!r}")
+        assert not out.parent.exists() or not any(out.parent.iterdir())
 
 
 class TestDeterminism:

@@ -43,8 +43,9 @@ from cupid.store import (
     write_subtitles,
 )
 
-from cupid.curation import read_curation_manifest, read_schedule
-from cupid.similarity import read_column_means
+from cupid.curation import (curate_avg_sim, read_curation_manifest, read_schedule,
+                            write_curation_manifest)
+from cupid.similarity import PoolingMode, read_column_means, stream_column_means
 
 from helpers import (build_corpus_reference, corpus_files, random_videos, read_manifest_lines,
                      write_shard_reference)
@@ -130,8 +131,7 @@ class TestShardFormat:
 
     def test_duplicate_ids_rejected(self):
         video = ClipMatrix("dup", np.zeros((1, 2), dtype=np.float32))
-        data = write_shard([video])
-        record = data[14:]
+        record = write_shard_reference([video], version=1)[14:]
         doubled = struct.pack("<4sHII", b"CPDE", 1, 2, 2) + record + record
         with pytest.raises(DataError, match="dup"):
             ingest_shard(doubled, 2)
@@ -276,8 +276,8 @@ class TestCorpusHandle:
 
     def test_truncated_shard_fails_as_load_video_does(self, rng):
         # Every header still matches its row; only the last record's values
-        # run past the end of the shard.
-        data = write_shard(random_videos(rng, "v", 3, 3, 4))[:-4]
+        # run past the end of the (version 1) shard.
+        data = write_shard_reference(random_videos(rng, "v", 3, 3, 4), version=1)[:-4]
         rows = ingest_shard(data + bytes(4), 4)
         handle = CorpusHandle("c", "source", rows, 4, {"": data})
         with pytest.raises(FormatError) as want:
@@ -364,7 +364,9 @@ class TestCorpusHandle:
         videos = random_videos(rng, "v", 6, 3, 4)
         handle = build_corpus(videos, tmp_path, "corp", videos_per_shard=3)
         last = sorted(tmp_path.glob("*.shard"))[-1]
-        os.truncate(last, last.stat().st_size - 5)
+        # into the last record, which ends where the shard's index begins
+        (index_at,) = struct.unpack("<Q", last.read_bytes()[-16:-8])
+        os.truncate(last, index_at - 5)
         with pytest.raises(FormatError) as want:
             handle.load_video("v00005")
         assert repr(last.name) in str(want.value) and "shrank" in str(want.value)
@@ -450,6 +452,272 @@ class TestCorpusHandle:
     def test_bad_role_rejected(self):
         with pytest.raises(ArgumentError):
             CorpusHandle("c", "sideways", [], 2, {})
+
+
+def _sum_block(data):
+    """(index offset, sums offset) from a v2 shard's footer, and its sums
+    as a (count, dim) float64 array."""
+    _, _, dim, count = struct.unpack_from("<4sHII", data, 0)
+    index_at, sums_at = struct.unpack("<QQ", data[-16:])
+    return index_at, sums_at, np.frombuffer(data[sums_at:len(data) - 16],
+                                            dtype="<f8").reshape(count, dim)
+
+
+# Clip values: signed zeros, float32 subnormals, values near the float32
+# overflow bound and ordinary ones.
+_CLIP_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 2.0 ** -149, -(2.0 ** -149),
+                                2.0 ** -130, 3.0e38, -3.0e38,
+                                float(np.finfo(np.float32).max)]) | st.floats(
+    -1e6, 1e6, width=32)
+
+
+class TestClipSums:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stored_sums_are_segment_clip_sums(self, data):
+        """Every writer stores, for each video, _segment_clip_sums of its
+        decoded clips, byte for byte, and load_sums reads those bytes."""
+        dim = data.draw(st.integers(1, 3))
+        clip = st.lists(_CLIP_VALUES, min_size=dim, max_size=dim)
+        videos = [ClipMatrix(f"v{i}", np.array(data.draw(st.lists(clip, min_size=1,
+                                                                  max_size=5)),
+                                               dtype=np.float32))
+                  for i in range(data.draw(st.integers(1, 12)))]
+        shard = write_shard(videos)
+        assert shard == write_shard_reference(videos)
+        entries = ingest_shard(shard, dim)
+        handle = CorpusHandle("c", "source", entries, dim, {"": shard})
+        tile = handle.load_tile(0, len(videos))
+        want = store._segment_clip_sums(tile.clips, tile.offsets, tile.counts)
+        assert _sum_block(shard)[2].tobytes() == want.tobytes()
+        sums, counts = handle.load_sums(0, len(videos))
+        assert sums.tobytes() == want.tobytes()
+        assert counts.tolist() == [v.clip_count for v in videos]
+        from_arrays = CorpusHandle.from_arrays("c", "source", videos)
+        assert from_arrays.load_sums(0, len(videos))[0].tobytes() == want.tobytes()
+
+    def test_a_negative_zero_clip_sums_to_positive_zero(self):
+        shard = write_shard([ClipMatrix("z", np.array([[-0.0, -0.0]], dtype=np.float32)),
+                             ClipMatrix("m", np.array([[-0.0, 1.0], [-0.0, -1.0]]))])
+        assert _sum_block(shard)[2].tobytes() == bytes(32)
+
+    def test_v1_shards_give_the_same_sums_from_their_records(self, rng, tmp_path,
+                                                             monkeypatch):
+        videos = random_videos(rng, "v", 9, 4, 5)
+        new = build_corpus(videos, tmp_path / "v2", "c", videos_per_shard=4)
+        old = build_corpus_reference(videos, tmp_path / "v1", "c", videos_per_shard=4,
+                                     version=1)
+        rows = np.array([1, 2, 6, 8])
+        want = [handle.load_sums(*args) for handle in (old,) for args in [(0, 9), (rows,)]]
+        monkeypatch.setattr(CorpusHandle, "load_tile", None)  # v2 decodes no clip
+        for (sums, counts), args in zip(want, [(0, 9), (rows,)]):
+            got_sums, got_counts = new.load_sums(*args)
+            assert got_sums.tobytes() == sums.tobytes()
+            assert got_counts.tolist() == counts.tolist()
+        assert new.load_sums(4, 4)[0].shape == (0, 5)
+
+    def test_sums_reads_are_one_read_per_shard_run(self, rng, tmp_path):
+        videos = random_videos(rng, "v", 40, 3, 6)
+        handle = build_corpus(videos, tmp_path, "c", videos_per_shard=16)
+        handle.load_sums(0, 1)
+        handle.load_sums(20, 21)
+        handle.load_sums(39, 40)  # every index is read now
+        before = handle.bytes_read
+        handle.load_sums(3, 37)  # three shards, one read each
+        assert handle.bytes_read - before == 34 * 6 * 8
+        before = handle.bytes_read
+        # rows 17 and 30 are 13 rows apart (under _SUM_GAP): one staged read
+        handle.load_sums(np.array([0, 17, 30]))
+        assert handle.bytes_read - before == (1 + 14) * 6 * 8
+
+
+class TestSumCorruption:
+    """A sums read checks its rows against the shard's index: a row that
+    disagrees falls back to the records and raises what load_video raises;
+    a corrupt index, footer or sums block is a FormatError naming the shard."""
+
+    def _corpus(self, rng, tmp_path):
+        videos = random_videos(rng, "v", 10, 3, 4)
+        build_corpus(videos, tmp_path, "c", videos_per_shard=5)
+        return videos, tmp_path / "c.manifest.jsonl", sorted(tmp_path.glob("*.shard"))[1]
+
+    @pytest.mark.parametrize("kind", ["cut-sums", "cut-index", "footer-past-end",
+                                      "index-past-end", "swapped-entries", "nan", "inf"])
+    def test_corrupt_shard_is_a_format_error_naming_it(self, rng, tmp_path, kind):
+        videos, manifest, bad = self._corpus(rng, tmp_path)
+        data = bytearray(bad.read_bytes())
+        index_at, sums_at, _ = _sum_block(bytes(data))
+        if kind == "swapped-entries":
+            # entries 1 and 3 trade every field, so each row still finds its
+            # own offset, count and id, but at the other entry's sum
+            for at, width in [(index_at, 8), (index_at + 40, 4), (index_at + 60, 2),
+                              (index_at + 70, 6)]:
+                one, three = slice(at + width, at + 2 * width), slice(at + 3 * width,
+                                                                       at + 4 * width)
+                data[one], data[three] = data[three], data[one]
+        elif kind == "cut-sums":
+            del data[sums_at + 8:sums_at + 16]
+        elif kind == "cut-index":
+            del data[index_at + 3]
+        elif kind == "footer-past-end":
+            data[-8:] = struct.pack("<Q", len(data) + 100)
+        elif kind == "index-past-end":
+            data[-16:-8] = struct.pack("<Q", 2 ** 64 - 1)
+        else:
+            value = float("nan") if kind == "nan" else float("-inf")
+            data[sums_at + 8 * (4 * 2 + 1):sums_at + 8 * (4 * 2 + 2)] = struct.pack("<d", value)
+        bad.write_bytes(bytes(data))
+        handle = CorpusHandle.open(manifest, "source")
+        for v in videos:  # the records are intact
+            assert handle.load_video(v.video_id).values.tobytes() == v.values.tobytes()
+        assert handle.load_sums(0, 5)[0].shape == (5, 4)  # the other shard
+        for args in [(0, 10), (np.array([3, 7]),)]:
+            with pytest.raises(FormatError, match=re.escape(repr(bad.name))) as got:
+                handle.load_sums(*args)
+            if kind in ("nan", "inf"):
+                assert str(got.value) == (f"shard {bad.name!r}: the stored clip sum of "
+                                          "video 'v00007' is not finite")
+        with pytest.raises(FormatError, match=re.escape(repr(bad.name))):
+            ingest_shard(bytes(data), 4, shard_name=bad.name)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("video_id", lambda e: "v0000x"),
+        ("video_id", lambda e: e.video_id + "x"),
+        ("clip_count", lambda e: e.clip_count % 3 + 1),
+        ("offset", lambda e: e.offset + 1),
+        ("offset", lambda e: e.offset - 1),
+        ("shard", lambda e: "missing.shard"),
+    ], ids=["id", "id-length", "count", "offset+1", "offset-1", "shard"])
+    def test_row_that_disagrees_with_the_index_fails_as_load_video_does(
+            self, rng, tmp_path, field, bad):
+        videos, manifest, _ = self._corpus(rng, tmp_path)
+        rows = read_manifest(manifest).entries()
+        rows[7] = replace(rows[7], **{field: bad(rows[7])})
+        handle = CorpusHandle("c", "source", rows, 4, {
+            name: store._Shard(name, path=tmp_path / name)
+            for name in {e.shard for e in rows} if (tmp_path / name).exists()})
+        with pytest.raises(CupidError) as want:
+            handle.load_video(rows[7].video_id)
+        for args in [(0, 10), (5, 8), (np.array([2, 7, 9]),)]:
+            with pytest.raises(CupidError) as got:
+                handle.load_sums(*args)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_corrupt_index_ids_fall_back_to_the_records(self, rng, tmp_path, monkeypatch):
+        videos, manifest, bad = self._corpus(rng, tmp_path)
+        data = bytearray(bad.read_bytes())
+        index_at, sums_at, _ = _sum_block(bytes(data))
+        data[sums_at - 1] ^= 1  # the last id byte of the index
+        bad.write_bytes(bytes(data))
+        handle = CorpusHandle.open(manifest, "source")
+        sums, counts = handle.load_sums(0, 10)
+        tile = handle.load_tile(0, 10)
+        assert sums.tobytes() == store._segment_clip_sums(tile.clips, tile.offsets,
+                                                          tile.counts).tobytes()
+        with pytest.raises(FormatError, match="its index does not match its records"):
+            ingest_shard(bytes(data), 4, shard_name=bad.name)
+
+    def test_shard_shrunk_after_open_is_a_format_error_naming_it(self, rng, tmp_path):
+        videos, manifest, bad = self._corpus(rng, tmp_path)
+        for loaded in (False, True):
+            handle = CorpusHandle.open(manifest, "source")
+            if loaded:
+                handle.load_sums(5, 6)  # the index is read before the cut
+            os.truncate(bad, bad.stat().st_size - 20)
+            with pytest.raises(FormatError, match=re.escape(repr(bad.name)) + ".*shrank"):
+                handle.load_sums(0, 10)
+            build_corpus(videos, tmp_path, "c", videos_per_shard=5)
+
+    def test_ingest_rejects_sums_that_differ_from_the_clips(self, rng):
+        data = bytearray(write_shard(random_videos(rng, "v", 3, 3, 4)))
+        _, sums_at, _ = _sum_block(bytes(data))
+        data[sums_at + 8 * 5] ^= 1  # a finite sum, one bit off
+        with pytest.raises(FormatError, match="'s': its stored clip sums differ from the "
+                                              "sums of its clips"):
+            ingest_shard(bytes(data), 4, shard_name="s")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sums_match_load_video_under_corruption(self, data):
+        """A sums read gives _segment_clip_sums of load_video's clips, bit
+        for bit, or raises what load_video raises for the first bad row; a
+        byte flipped in an index or footer may instead be a FormatError
+        naming its shard, and a non-finite stored sum always is one."""
+        videos = random_videos(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                               "v", 7, 3, 3)
+        shards = {"a.shard": bytearray(write_shard(videos[:4])),
+                  "b.shard": bytearray(write_shard(videos[4:]))}
+        entries = [e for name, buf in shards.items()
+                   for e in ingest_shard(bytes(buf), 3, shard_name=name)]
+        kind = data.draw(st.sampled_from(
+            ["none", "shift", "count", "id", "shard", "permute", "v1", "index", "nan"]))
+        named = poisoned = None  # the shard a FormatError may name; a non-finite sum's video
+        if kind == "permute":
+            entries = data.draw(st.permutations(entries))
+        elif kind == "v1":
+            shards["b.shard"] = bytearray(write_shard_reference(videos[4:], version=1))
+        elif kind == "index":
+            named = data.draw(st.sampled_from(sorted(shards)))
+            buf = shards[named]
+            index_at, sums_at, _ = _sum_block(bytes(buf))
+            pos = data.draw(st.integers(index_at, sums_at - 1)
+                            | st.integers(len(buf) - 16, len(buf) - 1))
+            buf[pos] ^= data.draw(st.integers(1, 255))
+        elif kind == "nan":
+            e = data.draw(st.sampled_from(entries))
+            named, poisoned = e.shard, e.video_id
+            buf = shards[named]
+            _, sums_at, _ = _sum_block(bytes(buf))
+            row = [x.video_id for x in entries if x.shard == named].index(e.video_id)
+            pos = sums_at + 8 * (3 * row + data.draw(st.integers(0, 2)))
+            buf[pos:pos + 8] = struct.pack("<d", data.draw(st.sampled_from(
+                [float("nan"), float("inf"), -float("inf")])))
+        elif kind != "none":
+            i = data.draw(st.integers(0, len(entries) - 1))
+            e = entries[i]
+            if kind == "shift":
+                e = replace(e, offset=e.offset + data.draw(st.sampled_from([-1, 1])))
+            elif kind == "count":
+                e = replace(e, clip_count=data.draw(
+                    (st.sampled_from([-1, 0, 2**32, 2**64]) | st.integers(1, 9))
+                    .filter(lambda c: c != e.clip_count)))
+            elif kind == "id":
+                e = replace(e, video_id=e.video_id + data.draw(
+                    st.sampled_from(["x", "\u00e9", "\ud800"])))
+            else:
+                e = replace(e, shard="missing.shard")
+            entries[i] = e
+        handle = CorpusHandle("c", "source", entries, 3,
+                              {name: bytes(buf) for name, buf in shards.items()})
+        lo = data.draw(st.integers(0, len(entries)))
+        hi = data.draw(st.integers(lo, len(entries)))
+        picked = sorted(data.draw(st.sets(st.integers(0, len(entries) - 1))))
+        for args, ids in [((lo, hi), [e.video_id for e in entries[lo:hi]]),
+                          ((np.array(picked, dtype=np.intp),),
+                           [entries[row].video_id for row in picked])]:
+            try:
+                clips = [handle.load_video(video_id).values for video_id in ids]
+            except CupidError as exc:
+                with pytest.raises(CupidError) as got:
+                    handle.load_sums(*args)
+                if not (kind in ("index", "nan") and type(got.value) is FormatError
+                        and repr(named) in str(got.value)):
+                    assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+                continue
+            counts = np.array([len(c) for c in clips], dtype=np.intp)
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            want = store._segment_clip_sums(
+                np.concatenate(clips) if clips else np.empty((0, 3), np.float32),
+                offsets, counts)
+            try:
+                sums, got_counts = handle.load_sums(*args)
+            except FormatError as exc:
+                assert kind == "index" or poisoned in ids
+                assert repr(named) in str(exc)
+                continue
+            assert poisoned not in ids
+            assert sums.tobytes() == want.tobytes()
+            assert got_counts.tolist() == counts.tolist()
 
 
 def _run_bytes(entries, dim, page=4096):
@@ -852,6 +1120,14 @@ _GOLDEN_IDS = ["g00", "g01", 'q"uote', "back\\slash", "café", "del\x7f", "tab\t
 # SHA-256 of every file build_corpus(_golden_videos(), d, "gold", videos_per_shard=4)
 # writes; the bytes are the format's, so they must not change with numpy's version.
 _GOLDEN_SHA256 = {
+    "gold-00000.shard": "37fb2ba8ebbac6814b44e719cef1637cbe534967f7280e32cb9fec19a8128d8e",
+    "gold-00001.shard": "b03296b4b78ec6a4dd962e392423c24fb4f8186a260a2842c5698a1ee78374cf",
+    "gold-00002.shard": "414cfc7453a12e5ae49bd38059088b81f34c111054b5eb0620dcdbdd48dcb0d6",
+    "gold.manifest.jsonl": "13e3bde341dd30f246f145e116d22148eac60d3961e3467c64ab0798e21dc3d6",
+}
+# The same corpus in version 1 shards, as build_corpus wrote it before the
+# index and the sums block: the same manifest, since the records did not move.
+_GOLDEN_V1_SHA256 = {
     "gold-00000.shard": "059322bff75d97a3ea3bad2cd9210b8a99905b76b229b12511325c1af4982cc7",
     "gold-00001.shard": "1352f7b728fffaeb65d9e3497e27e54620026f25cf041960be4e8b84d58a9921",
     "gold-00002.shard": "933080a2aef80eaaa451b0387bcf43e550cb9c96108e964fdfe64d212665e0b2",
@@ -881,6 +1157,27 @@ class TestBuildCorpus:
         build_corpus(_golden_videos(), tmp_path, "gold", videos_per_shard=4)
         assert {name: hashlib.sha256(data).hexdigest()
                 for name, data in corpus_files(tmp_path).items()} == _GOLDEN_SHA256
+
+    def test_golden_v1_corpus_reads_as_before(self, tmp_path):
+        """The golden corpus in version 1 shards, the bytes build_corpus
+        wrote before the sums block, opens and gives the avg-sim curation
+        bytes of its version 2 copy, under both poolings."""
+        videos = _golden_videos()
+        build_corpus_reference(videos, tmp_path / "v1", "gold", videos_per_shard=4, version=1)
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in corpus_files(tmp_path / "v1").items()} == _GOLDEN_V1_SHA256
+        build_corpus(videos, tmp_path / "v2", "gold", videos_per_shard=4)
+        target = CorpusHandle.from_arrays("t", "target", videos[::3])
+        curated = {}
+        for version in ("v1", "v2"):
+            source = CorpusHandle.open(tmp_path / version / "gold.manifest.jsonl", "source")
+            for pooling in PoolingMode:
+                for top in (4, None):
+                    path = tmp_path / f"{version}-{pooling.value}-{top}.jsonl"
+                    write_curation_manifest(curate_avg_sim(*stream_column_means(
+                        target, source, pooling, top=top), 4), path)
+                    curated.setdefault(version, []).append(path.read_bytes())
+        assert curated["v1"] == curated["v2"]
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
