@@ -40,7 +40,8 @@ def _count_groups(clips, offsets):
     """(clip count, video indices, their clip rows stacked contiguously) for
     each distinct clip count, in ascending count order."""
     counts = np.diff(offsets)
-    for count in np.unique(counts).tolist():
+    # not np.unique, whose first call imports numpy.ma (about 17 ms)
+    for count in sorted(set(counts.tolist())):
         idx = np.flatnonzero(counts == count)
         rows = (offsets[idx][:, None] + np.arange(count)).ravel()
         yield count, idx, clips[rows]

@@ -30,14 +30,6 @@ class NegativeMode(enum.Enum):
     STANDARD = "standard"
     N_SQUARED = "n_squared"
 
-    @classmethod
-    def parse(cls, name: str) -> "NegativeMode":
-        normalized = name.lower().replace("-", "_")
-        for mode in cls:
-            if mode.value == normalized:
-                return mode
-        raise ArgumentError(f"unknown negative mode {name!r}")
-
 
 @dataclass
 class ScoreGrid:
@@ -93,24 +85,30 @@ def negative_set(grid: ScoreGrid, mode: NegativeMode, anchor: int) -> set[tuple[
     return {cell for cell in cells if not grid.positive_mask[cell]}
 
 
-def _anchor_terms(grid: ScoreGrid, mode: NegativeMode, anchor: int):
-    pos = sorted(positive_set(grid, anchor))
-    neg = sorted(negative_set(grid, mode, anchor))
-    return pos, neg
+def _anchor_terms(grid: ScoreGrid, mode: NegativeMode):
+    """For each anchor with negatives: its loss -log(pos / (pos + neg)),
+    its positive and its negative cells each paired with exp(score - shift)
+    (shift: the largest score among them), and the positive and total sums
+    of those exponentials."""
+    for anchor in range(grid.batch):
+        pos = sorted(positive_set(grid, anchor))
+        neg = sorted(negative_set(grid, mode, anchor))
+        if not neg:
+            continue
+        shift = max(grid.scores[cell] for cell in pos + neg)
+        pos_exp = [math.exp(grid.scores[cell] - shift) for cell in pos]
+        neg_exp = [math.exp(grid.scores[cell] - shift) for cell in neg]
+        pos_sum = math.fsum(pos_exp)
+        all_sum = pos_sum + math.fsum(neg_exp)
+        yield (math.log(all_sum) - math.log(pos_sum), zip(pos, pos_exp), zip(neg, neg_exp),
+               pos_sum, all_sum)
 
 
 def nce_loss(grid: ScoreGrid, mode: NegativeMode = NegativeMode.STANDARD) -> float:
     """Mean per-anchor contrastive loss; non-negative, zero iff no negatives."""
     total = 0.0
-    for anchor in range(grid.batch):
-        pos, neg = _anchor_terms(grid, mode, anchor)
-        if not neg:
-            continue
-        cells = pos + neg
-        shift = max(grid.scores[cell] for cell in cells)
-        pos_sum = math.fsum(math.exp(grid.scores[cell] - shift) for cell in pos)
-        all_sum = pos_sum + math.fsum(math.exp(grid.scores[cell] - shift) for cell in neg)
-        total += math.log(all_sum) - math.log(pos_sum)
+    for loss, *_ in _anchor_terms(grid, mode):
+        total += loss
     return total / grid.batch
 
 
@@ -127,20 +125,11 @@ def nce_loss_grad(grid: ScoreGrid,
     b = grid.batch
     grad = np.zeros((b, b), dtype=np.float64)
     total = 0.0
-    for anchor in range(b):
-        pos, neg = _anchor_terms(grid, mode, anchor)
-        if not neg:
-            continue
-        cells = pos + neg
-        shift = max(grid.scores[cell] for cell in cells)
-        pos_exp = [math.exp(grid.scores[cell] - shift) for cell in pos]
-        neg_exp = [math.exp(grid.scores[cell] - shift) for cell in neg]
-        pos_sum = math.fsum(pos_exp)
-        all_sum = pos_sum + math.fsum(neg_exp)
-        total += math.log(all_sum) - math.log(pos_sum)
-        for cell, e in zip(pos, pos_exp):
+    for loss, pos, neg, pos_sum, all_sum in _anchor_terms(grid, mode):
+        total += loss
+        for cell, e in pos:
             grad[cell] += (e / all_sum - e / pos_sum) / b
-        for cell, e in zip(neg, neg_exp):
+        for cell, e in neg:
             grad[cell] += (e / all_sum) / b
     return total / b, grad
 

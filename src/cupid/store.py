@@ -37,27 +37,27 @@ read_subtitles).
 
 Writers trust validated ClipMatrix inputs: build_corpus and
 CorpusHandle.from_arrays compute each record's offset from its id length and
-clip count and never read a shard back, and they check the values once per
+clip count and never read a record back, and they check the values once per
 shard, with one isfinite over its value rows, since a ClipMatrix's array can
 be changed in place after it was made; they compute the clip sums once per
 shard, over its value rows. ingest_shard is the validator for shards that
 come from outside: it decodes and checks every record and, in a v2 shard,
 checks that the index matches the records and that each stored sum equals
 the sum of the decoded clips bit for bit.
-Every manifest line is the one json.dumps writes for its row.
 
-Manifests are read in chunks of about _CHUNK_BYTES. A chunk whose lines are
-all canonical is parsed with numpy, without a Python object per field. A
-canonical line is exactly what write_manifest writes for an id and a shard
-name of printable ASCII without '"' or '\\' and integers of at most 18
-digits:
-
-    {"video_id": "v1", "shard": "c-00000.shard", "offset": 14, "clip_count": 3}
-
-with "\\n" as its line ending. If any line of the file is not canonical, the
-whole file is read line by line with the JSON scanner instead, so every valid
-line still parses (other key orders, extra keys, escapes, whitespace, blank
-lines, CRLF) and errors name path:line.
+Every manifest line is the one json.dumps writes for its row, and one
+formatter, _manifest_lines, writes them all. CorpusHandle.open reads a
+manifest one block at a time, a block being the run of lines that name one
+shard: it parses the block's first line with the JSON scanner to learn the
+shard, formats the rows of that shard's v2 index with _manifest_lines and
+compares them with the next bytes of the file. On a match the block's
+columns come from the index, so a manifest that build_corpus wrote opens
+with one scanner call per shard, whatever its ids hold. Any other manifest
+(a v1 shard, a shard named by two blocks, a subset or reordering of a
+shard's rows, blank lines, CRLF, other key orders, spacing or escapes) is
+read by read_manifest, one scanner call per line, so every valid line
+still parses and errors name path:line. That costs a v1 corpus: it opens
+about three times slower than its v2 copy.
 
 After ingestion a CorpusHandle is immutable; any number of threads may read
 from it concurrently. It keeps one read-only file descriptor per shard and
@@ -89,12 +89,12 @@ import json
 import logging
 import math
 import os
-import re
 import struct
 import threading
 import weakref
 from dataclasses import dataclass
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -898,9 +898,16 @@ class CorpusHandle:
     def open(cls, manifest_path: str | Path, role: str,
              corpus_id: str | None = None) -> "CorpusHandle":
         """Open a corpus from its JSON-lines manifest, keeping one read-only
-        descriptor per shard; the descriptors close when the handle is dropped."""
+        descriptor per shard; the descriptors close when the handle is dropped.
+
+        A manifest of whole v2 shard blocks, as build_corpus writes it, is
+        checked against the shards' indexes instead of parsed
+        (_indexed_manifest); any other manifest is read by read_manifest.
+        """
         manifest_path = Path(manifest_path)
-        columns = read_manifest(manifest_path)
+        columns = _indexed_manifest(manifest_path)
+        if columns is None:
+            columns = read_manifest(manifest_path)
         base = manifest_path.parent
         shards: dict[str, _Shard] = {}
         dim: int | None = None
@@ -929,8 +936,9 @@ def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: s
 
     The videos are trusted as validated ClipMatrix objects, except that
     their values are checked once per shard (they may have been changed in
-    place since). Manifest rows take the packer's offsets, so no shard is
-    read back, and the manifest is written with one write.
+    place since). Manifest rows take the packer's offsets, so no record is
+    read back, and the manifest is written with one write; the open that
+    ends the build checks it against the shards' indexes.
     """
     if videos_per_shard < 1:
         raise ArgumentError("videos_per_shard must be positive")
@@ -952,8 +960,8 @@ def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: s
         with open(out_dir / name, "wb") as f:
             f.write(data)
         log.info("wrote shard %s: %d videos, %d bytes", name, len(batch), len(data))
-        lines.extend(_manifest_lines(name, list(zip([v.video_id for v in batch],
-                                                    offsets.tolist(), counts.tolist()))))
+        lines.extend(_manifest_lines(name, zip([v.video_id for v in batch],
+                                               offsets.tolist(), counts.tolist())))
         shard_idx += 1
         batch.clear()
 
@@ -968,73 +976,65 @@ def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: s
     return CorpusHandle.open(manifest_path, role, corpus_id=corpus_id)
 
 
-# Manifests are read in chunks of about this many bytes; a chunk of
-# canonical lines (see the module docstring) matches _CANONICAL_LINES.
-_CHUNK_BYTES = 1 << 18
-_CANONICAL_STR = rb'[ !#-\[\]-~]*'
-_CANONICAL_INT = rb'(?:0|[1-9][0-9]{0,17})'
-_CANONICAL_LINES = re.compile(
-    rb'(?:\{"video_id": "' + _CANONICAL_STR + rb'", "shard": "' + _CANONICAL_STR
-    + rb'", "offset": ' + _CANONICAL_INT + rb', "clip_count": ' + _CANONICAL_INT
-    + rb'\}\n)*')
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
-# The strings json.dumps writes unescaped: printable ASCII but '"' and '\'.
-_PLAIN_STR = re.compile(_CANONICAL_STR.decode("ascii"))
-
 # The scanner json.loads runs, called without its per-call wrapper.
 _scan_json = json.JSONDecoder().scan_once
 
 
 def read_manifest(path: str | Path) -> ManifestColumns:
-    """Read a JSON-lines manifest; blank lines are skipped and every other
-    line must hold exactly one entry object, with string video_id and shard
-    and integer offset and clip_count."""
+    """Read a JSON-lines manifest with the JSON scanner, one call per line;
+    blank lines are skipped and every other line must hold exactly one
+    entry object, with string video_id and shard and integer offset and
+    clip_count."""
+    return ManifestColumns.from_entries(read_lines(path, "manifest", _manifest_row))
+
+
+def _indexed_manifest(path: Path) -> ManifestColumns | None:
+    """The manifest at path with its columns taken from its shards' v2
+    indexes, or None unless it is whole shard blocks: for each shard it
+    names, in turn and only once, exactly the lines _manifest_lines writes
+    for all of that shard's index rows, in index order.
+
+    The manifest is read one block at a time: the block's first line is
+    parsed with the scanner to learn its shard, whose index rows are then
+    formatted and compared with the next bytes of the file. _manifest_lines
+    writes the json.dumps line of each row, so a block equal to those bytes
+    parses, line by line, to the index's rows: the columns are the ones
+    read_manifest gives. Any other manifest (a v1 shard, a shard named by
+    two blocks, a subset or reordering of a shard's rows, blank lines, CRLF,
+    other spacing or key orders) gives None, and so does anything that
+    raises, so read_manifest and open's shard checks decide what a manifest
+    holds and which error it is.
+    """
     ids: list[str] = []
     table: dict[str, int] = {}
     codes, offsets, counts = [], [], []
-    with open(path, "rb") as f:
-        while lines := f.readlines(_CHUNK_BYTES):
-            chunk = _parse_canonical(b"".join(lines))
-            if chunk is None:
-                # Any valid manifest: one scanner call per line.
-                return ManifestColumns.from_entries(read_lines(path, "manifest", _manifest_row))
-            ids += chunk[0]
-            codes.append(_shard_codes(chunk[1], table))
-            offsets.append(chunk[2])
-            counts.append(chunk[3])
+    try:
+        with open(path, "rb") as f:
+            while line := f.readline():
+                shard = _manifest_row(line.decode("utf-8").strip()).shard
+                if shard in table:
+                    return None
+                index = _SumIndex.read(_Shard(shard, path=path.parent / shard))[0]
+                if index is None:
+                    return None
+                raw = index.ids.tobytes()
+                block_ids = [raw[a:a + n].decode("utf-8") for a, n
+                             in zip(index.id_starts.tolist(), index.id_lens.tolist())]
+                block = "".join(_manifest_lines(shard, zip(
+                    block_ids, index.offsets.tolist(), index.counts.tolist()))).encode("ascii")
+                if not (block.startswith(line)
+                        and f.read(len(block) - len(line)) == block[len(line):]):
+                    return None
+                codes.append(np.full(len(block_ids), len(table), dtype=np.intp))
+                table[shard] = len(table)
+                ids += block_ids
+                offsets.append(index.offsets)
+                counts.append(index.counts)
+    except Exception:
+        return None
     empty = [np.empty(0, dtype=np.intp)]
     return ManifestColumns(ids, list(table), np.concatenate(empty + codes),
                            np.concatenate(empty + offsets), np.concatenate(empty + counts))
-
-
-def _parse_canonical(data: bytes) -> tuple[list[str], list[str], np.ndarray, np.ndarray] | None:
-    """(ids, shard names, offsets, clip counts) of lines that are all
-    canonical, or None."""
-    if _CANONICAL_LINES.fullmatch(data) is None:
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # Ids and shard names hold no '"', so every line holds exactly 12 of them.
-    quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 12)
-    ends = np.flatnonzero(buf == ord("\n"))
-    return (_ascii_fields(buf, quotes[:, 2] + 1, quotes[:, 3]),
-            _ascii_fields(buf, quotes[:, 6] + 1, quotes[:, 7]),
-            _decimal_fields(buf, quotes[:, 9] + 3, quotes[:, 10] - 2),
-            _decimal_fields(buf, quotes[:, 11] + 3, ends - 1))
-
-
-def _ascii_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[str]:
-    """The strings buf[starts[i]:stops[i]], each followed in buf by '"'."""
-    # Taken with their closing quotes, the fields come apart with one split.
-    text = buf[_ranges(starts, stops + 1 - starts)].tobytes().decode("ascii")
-    return text.split('"')[:-1]
-
-
-def _decimal_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The integers written in buf[starts[i]:stops[i]] with 1 to 18 digits."""
-    lens = stops - starts
-    pos = _ranges(starts, lens)
-    digits = (buf[pos] - ord("0")).astype(np.int64) * _POW10[np.repeat(stops - 1, lens) - pos]
-    return np.add.reduceat(digits, np.cumsum(lens) - lens)
 
 
 def _manifest_row(line: str) -> ManifestEntry:
@@ -1116,19 +1116,14 @@ def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
         f.write("".join(lines))
 
 
-def _manifest_lines(shard: str, rows: Sequence[tuple[str, int, int]]) -> list[str]:
+def _manifest_lines(shard: str, rows: Iterable[tuple[str, int, int]]) -> list[str]:
     """The manifest line json.dumps writes for each (video_id, offset,
-    clip_count) row in shard, "\\n" included. A row whose id and shard are
-    strings json.dumps leaves as they are (a canonical line) is formatted
-    directly; the ids are checked all at once when they all are."""
-    plain_shard = _PLAIN_STR.fullmatch(shard) is not None
-    all_plain = plain_shard and _PLAIN_STR.fullmatch("".join(row[0] for row in rows)) is not None
-    return [f'{{"video_id": "{video_id}", "shard": "{shard}", "offset": {offset}, '
-            f'"clip_count": {clip_count}}}\n'
-            if all_plain or (plain_shard and _PLAIN_STR.fullmatch(video_id))
-            else json.dumps({"video_id": video_id, "shard": shard, "offset": offset,
-                             "clip_count": clip_count}) + "\n"
-            for video_id, offset, clip_count in rows]
+    clip_count) row in shard, "\\n" included: its strings quoted as
+    json.dumps quotes them (ensure_ascii), so every line is ASCII. This is
+    the one definition of a manifest line that _indexed_manifest reads."""
+    shard = _json_str(shard)
+    return [f'{{"video_id": {_json_str(video_id)}, "shard": {shard}, "offset": {offset}, '
+            f'"clip_count": {clip_count}}}\n' for video_id, offset, clip_count in rows]
 
 
 def read_metadata(path: str | Path) -> list[VideoMeta]:

@@ -164,6 +164,25 @@ class TestSimilarity:
         assert err["error"] == "schema"
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this cupid."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cupid.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+
+
+# Runs the CLI on its arguments, then prints whether numpy and numpy.ma
+# were imported.
+_IMPORTS_CHILD = """\
+import sys
+from cupid import cli
+
+code = cli.main(sys.argv[1:])
+print("numpy" in sys.modules, "numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+
+
 class TestCurate:
     def test_avg_sim(self, corpora, tmp_path):
         src, tgt = corpora
@@ -200,6 +219,19 @@ class TestCurate:
         assert not {"s0003", "s0007"} & set(manifest.video_ids())
         sidecar = json.loads((tmp_path / "picked.jsonl.meta.json").read_text())
         assert sidecar["strategy"] == "knn"
+
+    @pytest.mark.parametrize("strategy", ["avg-sim", "knn"])
+    def test_max_pooling_leaves_numpy_ma_unimported(self, corpora, tmp_path, strategy):
+        """np.unique imports numpy.ma on its first call (about 17 ms); a
+        max-pooling curate in a fresh interpreter needs neither."""
+        src, tgt = corpora
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORTS_CHILD, "curate", "--strategy", strategy,
+             "--pooling", "max", "--capacity", "6", "--source-manifest", str(src),
+             "--target-manifest", str(tgt), "--out", str(tmp_path / "picked.jsonl")],
+            capture_output=True, text=True, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "False"]
 
     def test_heuristic(self, tmp_path):
         metadata = tmp_path / "meta.jsonl"
@@ -293,16 +325,13 @@ class TestResidentMemory:
                      role="target")
         shard_bytes = sum(p.stat().st_size for p in (tmp_path / "src").glob("*.shard"))
         assert shard_bytes >= 4 * tile_cols * clips * dim * 4
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(Path(cupid.__file__).resolve().parents[1]),
-                        os.environ.get("PYTHONPATH")) if p))
         result = subprocess.run(
             [sys.executable, "-c", _RSS_CHILD, "curate", "--strategy", "avg-sim",
              "--capacity", "100", "--tile-cols", str(tile_cols), "--threads", "1",
              "--source-manifest", str(tmp_path / "src" / "src.manifest.jsonl"),
              "--target-manifest", str(tmp_path / "tgt" / "tgt.manifest.jsonl"),
              "--out", str(tmp_path / "picked.jsonl")],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert result.returncode == 0, result.stderr
         rss, peak = (1024 * int(kib) for kib in result.stdout.split())
         assert peak - rss < shard_bytes / 2, (rss, peak, shard_bytes)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cupid import ArgumentError, DataError, NegativeMode, ScoreGrid, negative_set
 from cupid import nce_loss, nce_loss_grad
@@ -188,3 +190,17 @@ class TestGradient:
         for mode in MODES:
             loss, _ = nce_loss_grad(grid, mode)
             assert loss == nce_loss(grid, mode)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_loss_equals_the_loss_of_loss_grad_bit_for_bit(self, data):
+        b = data.draw(st.integers(1, 6))
+        scores = np.array(data.draw(st.lists(
+            st.floats(-60.0, 60.0, allow_subnormal=False), min_size=b * b, max_size=b * b)))
+        # diagonal positives, or more positive cells besides
+        extra = data.draw(st.lists(st.booleans(), min_size=b * b, max_size=b * b))
+        mask = np.eye(b, dtype=bool) | (np.array(extra).reshape(b, b)
+                                        & data.draw(st.booleans()))
+        grid = ScoreGrid(scores.reshape(b, b), mask)
+        for mode in MODES:
+            assert nce_loss(grid, mode).hex() == nce_loss_grad(grid, mode)[0].hex()

@@ -852,24 +852,22 @@ _ODD_LINES = {
 }
 
 
-def _assert_reads_as_per_line_reader(path, chunk_bytes):
-    """read_manifest, in chunks of about chunk_bytes, gives the rows
-    read_manifest_lines gives or raises an error naming the line it rejects."""
+def _assert_reads_as_per_line_reader(path):
+    """read_manifest gives the rows read_manifest_lines gives or raises an
+    error naming the line it rejects."""
     try:
         want = read_manifest_lines(path)
     except ValueError as exc:
         want = FormatError(f"{path}:{exc.args[0]}: bad manifest line")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(store, "_CHUNK_BYTES", chunk_bytes)
-        if isinstance(want, FormatError):
-            with pytest.raises(FormatError) as got:
-                read_manifest(path)
-            assert str(got.value) == str(want)
-        else:
-            columns = read_manifest(path)
-            assert columns.entries() == want
-            assert all(type(v) is str for v in columns.ids)
-            assert not columns.offsets.flags.writeable
+    if isinstance(want, FormatError):
+        with pytest.raises(FormatError) as got:
+            read_manifest(path)
+        assert str(got.value) == str(want)
+    else:
+        columns = read_manifest(path)
+        assert columns.entries() == want
+        assert all(type(v) is str for v in columns.ids)
+        assert not columns.offsets.flags.writeable
 
 
 class TestManifestReader:
@@ -904,22 +902,14 @@ class TestManifestReader:
         with pytest.raises(FormatError, match=":5000:"):
             read_manifest(path)
 
-    def test_canonical_manifest_is_read_without_the_scanner(self, tmp_path, monkeypatch):
-        entries = [ManifestEntry(f"v{i}", f"s{i % 3}.shard", 14 + 40 * i, 1 + i % 8)
-                   for i in range(3000)]
-        path = tmp_path / "m.jsonl"
-        write_manifest(entries, path)
-        monkeypatch.setattr(store, "_scan_json", None)
-        assert read_manifest(path).entries() == entries
-
     @given(data=st.data())
     @settings(max_examples=500, deadline=None)
     def test_fast_path_matches_per_line_reader(self, tmp_path_factory, data):
-        """Canonical lines mixed with other valid and invalid lines, on both
-        sides of chunk boundaries: the rows equal the json.loads reader's,
-        or the error names the line it rejects."""
+        """Canonical lines mixed with other valid and invalid lines: the
+        rows equal the json.loads reader's, or the error names the line it
+        rejects."""
         lines = [json.dumps(row) for row in data.draw(st.lists(_CANONICAL_ROWS, max_size=12))]
-        # Mostly one odd line, so that nothing else sends the file line by line.
+        # Mostly one odd line among canonical ones.
         for _ in range(data.draw(st.sampled_from([0, 1, 1, 2]))):
             write = data.draw(st.sampled_from(list(_ODD_LINES.values())))
             lines.insert(data.draw(st.integers(0, len(lines))), write(data.draw(_CANONICAL_ROWS)))
@@ -928,7 +918,7 @@ class TestManifestReader:
             text = text[:-1]  # no final newline
         path = tmp_path_factory.mktemp("m") / "m.jsonl"
         path.write_bytes(text.encode("utf-8"))
-        _assert_reads_as_per_line_reader(path, data.draw(st.integers(1, 400)))
+        _assert_reads_as_per_line_reader(path)
 
     @pytest.mark.parametrize("kind", sorted(_ODD_LINES))
     def test_one_odd_line_among_canonical_ones(self, tmp_path, kind):
@@ -938,7 +928,7 @@ class TestManifestReader:
         lines[1] = _ODD_LINES[kind](rows[1])
         path = tmp_path / "m.jsonl"
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-        _assert_reads_as_per_line_reader(path, 100)
+        _assert_reads_as_per_line_reader(path)
 
     def test_lines_that_parse_only_when_joined_are_rejected(self, tmp_path):
         head = '{"video_id": "a", "shard": "s", "offset": 1, "clip_count": 1'
@@ -951,6 +941,138 @@ class TestManifestReader:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=":1:"):
             read_manifest(path)
+
+
+# Ids the manifest writer escapes or that are not ASCII, and the empty id.
+_ESCAPED_IDS = st.text(st.sampled_from('a"\\\x7fé☃'), max_size=3)
+# Ways to change a built corpus, its manifest taken as blocks of lines, one
+# block per shard.
+_MUTATIONS = ["none", "reorder_blocks", "repeat_block", "drop_line", "duplicate_line",
+              "swap_lines", "rekey_line", "respace_line", "crlf_line", "blank_line",
+              "no_final_newline", "v1_shard", "flip_index_byte", "cut_footer",
+              "remove_shard", "other_dim"]
+# The mutations that leave the manifest whole, distinct v2 shard blocks in
+# index order.
+_WHOLE = {"none", "reorder_blocks", "other_dim"}
+
+
+def _open_outcome(path):
+    """(entries, dim) of the corpus at path, or the type and message of the
+    error opening it raises."""
+    try:
+        handle = CorpusHandle.open(path, "source")
+    except CupidError as exc:
+        return type(exc), str(exc)
+    return handle.columns.entries(), handle.dim
+
+
+def _mutate_corpus(data, directory, videos, per_shard, mutation):
+    """Apply mutation to the corpus build_corpus wrote to directory from
+    videos; returns the manifest's blocks of lines as bytes, mutated."""
+    lines = (directory / "c.manifest.jsonl").read_bytes().splitlines(keepends=True)
+    blocks = [lines[i:i + per_shard] for i in range(0, len(lines), per_shard)]
+    k = data.draw(st.integers(0, len(blocks) - 1))
+    shard = directory / f"c-{k:05d}.shard"
+    block = blocks[k]
+    i = data.draw(st.integers(0, len(block) - 1))
+    row = json.loads(block[i])
+    if mutation == "reorder_blocks":
+        blocks = data.draw(st.permutations(blocks))
+    elif mutation == "repeat_block":
+        blocks.insert(data.draw(st.integers(0, len(blocks))), block)
+    elif mutation == "drop_line":
+        del block[i]
+    elif mutation == "duplicate_line":
+        block.insert(data.draw(st.integers(0, len(block))), block[i])
+    elif mutation == "swap_lines":
+        j = (i + 1) % len(block)
+        block[i], block[j] = block[j], block[i]
+    elif mutation == "rekey_line":
+        block[i] = (json.dumps(dict(reversed(row.items()))) + "\n").encode()
+    elif mutation == "respace_line":
+        block[i] = (json.dumps(row, separators=(",", ":")) + "\n").encode()
+    elif mutation == "crlf_line":
+        block[i] = block[i][:-1] + b"\r\n"
+    elif mutation == "blank_line":
+        block.insert(data.draw(st.integers(0, len(block))), b"\n")
+    elif mutation == "no_final_newline":
+        blocks[-1][-1] = blocks[-1][-1][:-1]
+    elif mutation == "v1_shard":
+        build_corpus_reference(videos, directory / "v1", "c", videos_per_shard=per_shard,
+                               version=1)
+        shard.write_bytes((directory / "v1" / shard.name).read_bytes())
+    elif mutation == "flip_index_byte":
+        raw = bytearray(shard.read_bytes())
+        index_at, sums_at = struct.unpack("<QQ", raw[-16:])
+        raw[data.draw(st.integers(index_at, sums_at - 1))] ^= data.draw(st.integers(1, 255))
+        shard.write_bytes(raw)
+    elif mutation == "cut_footer":
+        raw = shard.read_bytes()
+        shard.write_bytes(raw[:-data.draw(st.integers(1, 16))])
+    elif mutation == "remove_shard":
+        shard.unlink()
+    elif mutation == "other_dim":
+        wider = [ClipMatrix(v.video_id, np.repeat(v.values, 2, axis=1)) for v in videos]
+        build_corpus(wider, directory / "wide", "c", videos_per_shard=per_shard)
+        shard.write_bytes((directory / "wide" / shard.name).read_bytes())
+        wide_lines = (directory / "wide" / "c.manifest.jsonl").read_bytes().splitlines(True)
+        block[:] = wide_lines[k * per_shard:(k + 1) * per_shard]
+    return blocks
+
+
+class TestIndexedManifest:
+    """CorpusHandle.open reads a manifest of whole v2 shard blocks from the
+    shards' indexes, and any other manifest with the scanner, with the same
+    outcome."""
+
+    def test_built_manifest_opens_through_the_index(self, rng, tmp_path, monkeypatch):
+        videos = random_videos(rng, "vé\"", 3000, 3, 2)
+        build_corpus(videos, tmp_path, "c", videos_per_shard=700)
+        path = tmp_path / "c.manifest.jsonl"
+        scans = []
+        scan = store._scan_json
+        monkeypatch.setattr(store, "_scan_json", lambda *a: scans.append(1) or scan(*a))
+        handle = CorpusHandle.open(path, "source")
+        assert len(scans) == 5  # one per block: its first line
+        assert handle.manifest == read_manifest_lines(path)
+        assert handle.columns.shards == [f"c-{k:05d}.shard" for k in range(5)]
+        assert not handle.columns.offsets.flags.writeable
+        assert handle.bytes_read == 0 and handle._sum_indexes == {}
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_index_path_matches_the_scanner(self, tmp_path_factory, data):
+        """On ingested corpora, whole or changed in one way, open gives what
+        read_manifest and the shard checks give, and takes the index path
+        exactly when the manifest is whole v2 shard blocks in index order."""
+        n_shards = data.draw(st.integers(2, 4))
+        per_shard = data.draw(st.integers(2, 4))
+        ids = data.draw(st.lists(_ESCAPED_IDS, unique=True, min_size=n_shards * per_shard,
+                                 max_size=n_shards * per_shard))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        videos = [ClipMatrix(vid, rng.normal(size=(int(rng.integers(1, 4)), 2)))
+                  for vid in ids]
+        directory = tmp_path_factory.mktemp("c")
+        build_corpus(videos, directory, "c", videos_per_shard=per_shard)
+        mutation = data.draw(st.sampled_from(_MUTATIONS))
+        blocks = _mutate_corpus(data, directory, videos, per_shard, mutation)
+        path = directory / "c.manifest.jsonl"
+        path.write_bytes(b"".join(b"".join(block) for block in blocks))
+
+        indexed, scans = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            find, scan = store._indexed_manifest, store._scan_json
+            mp.setattr(store, "_indexed_manifest", lambda p: indexed.append(find(p)) or indexed[-1])
+            mp.setattr(store, "_scan_json", lambda *a: scans.append(1) or scan(*a))
+            got = _open_outcome(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(store, "_indexed_manifest", lambda p: None)
+            want = _open_outcome(path)
+        assert got == want
+        if mutation in _WHOLE:
+            assert indexed[0] is not None and len(scans) == len(blocks)
+        else:
+            assert indexed[0] is None
 
 
 class TestJsonlFiles:
