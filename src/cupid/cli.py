@@ -34,6 +34,8 @@ log = logging.getLogger("cupid")
 
 _USAGE_EXIT = 2
 _FAILURE_EXIT = 1
+# The status the interpreter exits with when a standard stream fails to flush.
+_FLUSH_FAILED_EXIT = 120
 
 
 def _configure_logging() -> None:
@@ -613,6 +615,8 @@ def main(argv: list[str] | None = None) -> int:
         args._outputs = []
         args._report_path = None
         summary = args.handler(args)
+        if args._report_path is not None:
+            _write_run_report(args, summary, started)
     except (UsageError, ArgumentError) as exc:
         _error_line(exc.category, str(exc))
         return _USAGE_EXIT
@@ -622,25 +626,46 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _error_line("io", str(exc))
         return _FAILURE_EXIT
-    if args._report_path is not None:
-        report = {
-            "command": args.command,
-            "config": {k: v for k, v in sorted(vars(args).items())
-                       if not k.startswith("_") and k not in ("handler",)
-                       and isinstance(v, (str, int, float, bool, type(None)))},
-            "inputs": _hash_inputs(args._inputs),
-            "outputs": [str(p) for p in args._outputs],
-            "summary": summary,
-            "timings": {"total_s": time.perf_counter() - started},
-        }
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        _publish_single(args._report_path, lambda p: p.write_text(payload, encoding="utf-8"))
     log.info("%s finished in %.2fs", args.command, time.perf_counter() - started)
     return 0
 
 
+def _write_run_report(args: argparse.Namespace, summary: dict, started: float) -> None:
+    report = {
+        "command": args.command,
+        "config": {k: v for k, v in sorted(vars(args).items())
+                   if not k.startswith("_") and k not in ("handler",)
+                   and isinstance(v, (str, int, float, bool, type(None)))},
+        "inputs": _hash_inputs(args._inputs),
+        "outputs": [str(p) for p in args._outputs],
+        "summary": summary,
+        "timings": {"total_s": time.perf_counter() - started},
+    }
+    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _publish_single(args._report_path, lambda p: p.write_text(payload, encoding="utf-8"))
+
+
 def main_entry() -> None:
-    sys.exit(main())
+    """Run main() on the command line and end the process with its code.
+
+    When main() returns, its outputs are published and every file, shard
+    descriptor and worker thread it used is closed or joined, so the
+    process ends with os._exit once the log handlers and the standard
+    streams are flushed: the interpreter's teardown (module cleanup, the
+    final collection) would change nothing a caller can see. A stream that
+    fails to flush gives exit status 120, as the interpreter's own exit
+    does. An exception that escapes main() takes the normal traceback path.
+    """
+    code = main()
+    logging.shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None or stream.closed:
+            continue
+        try:
+            stream.flush()
+        except OSError:
+            code = _FLUSH_FAILED_EXIT
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -311,12 +312,21 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def write_curation_manifest(manifest: CurationManifest, path: str | Path) -> None:
-    """Write entry rows as JSON-lines plus a .meta.json sidecar."""
+    """Write entry rows as JSON-lines plus a .meta.json sidecar.
+
+    Each row is the line json.dumps writes for its {"rank", "video_id",
+    "score", "strategy"} object: strings quoted as json.dumps quotes them
+    (ensure_ascii), a score as float.__repr__ writes it, or null. Every
+    strategy gives a finite float score or None, for which this is the text
+    json.dumps writes.
+    """
     path = Path(path)
+    strategy = _json_str(manifest.strategy)
     with open(path, "w", encoding="utf-8") as f:
-        for e in manifest.entries:
-            f.write(json.dumps({"rank": e.rank, "video_id": e.video_id,
-                                "score": e.score, "strategy": manifest.strategy}) + "\n")
+        f.write("".join(
+            f'{{"rank": {e.rank}, "video_id": {_json_str(e.video_id)}, "score": '
+            f'{"null" if e.score is None else float.__repr__(e.score)}, '
+            f'"strategy": {strategy}}}\n' for e in manifest.entries))
     sidecar = {
         "strategy": manifest.strategy,
         "config": manifest.config_echo,

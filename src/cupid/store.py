@@ -551,11 +551,12 @@ class ManifestColumns:
             object.__setattr__(self, name, _int_column(getattr(self, name)))
 
     @classmethod
-    def from_entries(cls, entries: Sequence[ManifestEntry]) -> "ManifestColumns":
+    def from_rows(cls, rows: Sequence[tuple[str, str, int, int]]) -> "ManifestColumns":
+        """The columns of (video_id, shard, offset, clip_count) rows."""
+        ids, shards, offsets, counts = zip(*rows) if rows else ((), (), (), ())
         table: dict[str, int] = {}
-        codes = _shard_codes([e.shard for e in entries], table)
-        return cls([e.video_id for e in entries], list(table), codes,
-                   [e.offset for e in entries], [e.clip_count for e in entries])
+        codes = _shard_codes(shards, table)
+        return cls(list(ids), list(table), codes, offsets, counts)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -597,7 +598,8 @@ class CorpusHandle:
         if role not in ROLES:
             raise ArgumentError(f"role must be one of {ROLES}")
         if not isinstance(manifest, ManifestColumns):
-            manifest = ManifestColumns.from_entries(manifest)
+            manifest = ManifestColumns.from_rows(
+                [(e.video_id, e.shard, e.offset, e.clip_count) for e in manifest])
         if len(set(manifest.ids)) != len(manifest):
             seen: set[str] = set()
             dup = next(vid for vid in manifest.ids if vid in seen or seen.add(vid))
@@ -985,7 +987,7 @@ def read_manifest(path: str | Path) -> ManifestColumns:
     blank lines are skipped and every other line must hold exactly one
     entry object, with string video_id and shard and integer offset and
     clip_count."""
-    return ManifestColumns.from_entries(read_lines(path, "manifest", _manifest_row))
+    return ManifestColumns.from_rows(read_lines(path, "manifest", _manifest_row))
 
 
 def _indexed_manifest(path: Path) -> ManifestColumns | None:
@@ -1011,7 +1013,7 @@ def _indexed_manifest(path: Path) -> ManifestColumns | None:
     try:
         with open(path, "rb") as f:
             while line := f.readline():
-                shard = _manifest_row(line.decode("utf-8").strip()).shard
+                shard = _manifest_row(line.decode("utf-8").strip())[1]
                 if shard in table:
                     return None
                 index = _SumIndex.read(_Shard(shard, path=path.parent / shard))[0]
@@ -1037,13 +1039,14 @@ def _indexed_manifest(path: Path) -> ManifestColumns | None:
                            np.concatenate(empty + offsets), np.concatenate(empty + counts))
 
 
-def _manifest_row(line: str) -> ManifestEntry:
+def _manifest_row(line: str) -> tuple[str, str, int, int]:
+    """The (video_id, shard, offset, clip_count) row of a manifest line."""
     obj = json_object(line)
     row = (obj["video_id"], obj["shard"], obj["offset"], obj["clip_count"])
     if tuple(map(type, row)) != (str, str, int, int):
         raise TypeError("video_id and shard must be strings, "
                         "offset and clip_count integers")
-    return ManifestEntry(*row)
+    return row
 
 
 def read_lines(path: str | Path, what: str, parse: Callable[[str], T]) -> list[T]:

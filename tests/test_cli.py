@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -1074,3 +1075,178 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert json.loads(result.stdout)["pass"] is True
         assert "nce-check finished" in result.stderr
+
+
+class TestErrorsAfterTheCommand:
+    """Hashing the inputs and publishing the run report follow the
+    command's own work; an error there gives the one JSON error line and
+    its exit code, as an error in the command does, not a traceback."""
+
+    @pytest.mark.parametrize("step", ["_hash_inputs", "_publish_single"])
+    @pytest.mark.parametrize("error,code,category", [
+        (OSError, 1, "io"), (FormatError, 1, "format"), (cupid.UsageError, 2, "usage")])
+    def test_error_line_and_exit_code(self, corpora, tmp_path, capsys, monkeypatch,
+                                      step, error, code, category):
+        from cupid import cli
+
+        def fail(*args):
+            raise error(f"{step} failed")
+
+        monkeypatch.setattr(cli, step, fail)
+        src, tgt = corpora
+        assert main(["curate", "--strategy", "avg-sim", "--capacity", "3",
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(tmp_path / "picked.jsonl")]) == code
+        assert _single_error(capsys) == {"error": category, "message": f"{step} failed"}
+        assert not (tmp_path / "picked.jsonl.run.json").exists()
+
+
+def _run_cli(entry, *args, **env):
+    """Run the CLI in a fresh interpreter, through ``python -m cupid.cli``
+    (entry "module") or the declared console script (entry "script"), with
+    env added to this process's environment. Standard output is block
+    buffered, as it is in a pipe by default, so what is not flushed is lost."""
+    env = {k: v for k, v in {**os.environ, **env}.items() if k != "PYTHONUNBUFFERED"}
+    if entry == "script":
+        return run_console_script("cupid", *args, env=env)
+    return subprocess.run([sys.executable, "-m", "cupid.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=_child_env()["PYTHONPATH"]))
+
+
+def _log_rows(records):
+    """(logger, level, message) rows with the time of "finished in" masked."""
+    return [(name, level, re.sub(r"finished in \d+\.\d\ds$", "finished in Ns", message))
+            for name, level, message in records]
+
+
+class TestEntryPoints:
+    """``python -m cupid.cli`` and the ``cupid`` console script end the
+    process with os._exit once main() has returned. Exit codes, standard
+    streams, log lines and artifacts are those of main() run in process."""
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_success_matches_main(self, corpora, tmp_path, caplog, entry):
+        src, tgt = corpora
+        caplog.set_level("INFO", logger="cupid")
+        runs = {}
+        for where in ("main", entry):
+            out_dir = tmp_path / where
+            out_dir.mkdir()
+            args = ["curate", "--strategy", "avg-sim", "--capacity", "6",
+                    "--source-manifest", str(src), "--target-manifest", str(tgt),
+                    "--out", str(out_dir / "picked.jsonl")]
+            if where == "main":
+                assert main(args) == 0
+                logs = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+            else:
+                result = _run_cli(entry, *args, CUPID_LOG="INFO")
+                assert result.returncode == 0, result.stderr
+                assert result.stdout == ""
+                # "<date> <time> <logger> <level> <message>"
+                logs = [tuple(line.split(" ", 4)[2:]) for line in result.stderr.splitlines()]
+            artifacts = {p.name: p.read_bytes() for p in out_dir.iterdir()
+                         if not p.name.endswith(".run.json")}
+            runs[where] = (_log_rows(logs), artifacts)
+        assert runs[entry] == runs["main"]
+        logs, artifacts = runs[entry]
+        assert logs[-1] == ("cupid", "INFO", "curate finished in Ns")
+        assert sorted(artifacts) == ["picked.jsonl", "picked.jsonl.meta.json"]
+        assert json.loads((tmp_path / entry / "picked.jsonl.run.json").read_text())[
+            "summary"]["selected"] == 6
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_stdout_matches_main(self, corpora, capsys, entry):
+        src, _ = corpora
+        assert main(["stats", "--manifest", str(src)]) == 0
+        result = _run_cli(entry, "stats", "--manifest", str(src), CUPID_LOG="WARNING")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, capsys.readouterr().out, "")
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("case,code,category", [
+        ("capacity", 1, "capacity"), ("missing-input", 2, "usage"),
+        ("bad-flags", 2, None)])  # argparse's usage message, not a JSON line
+    def test_failure_matches_main(self, corpora, tmp_path, capsys, entry, case, code,
+                                  category):
+        src, tgt = corpora
+        args = {
+            "capacity": ["curate", "--strategy", "avg-sim", "--capacity", "31",
+                         "--source-manifest", str(src), "--target-manifest", str(tgt)],
+            "missing-input": ["curate", "--strategy", "avg-sim", "--capacity", "3",
+                              "--source-manifest", str(tmp_path / "none.jsonl"),
+                              "--target-manifest", str(tgt)],
+            "bad-flags": ["curate", "--strategy", "avg-sim", "--capacity", "three"],
+        }[case] + ["--out", str(tmp_path / "picked.jsonl")]
+        assert main(args) == code
+        expected = capsys.readouterr().err
+        result = _run_cli(entry, *args, CUPID_LOG="WARNING")
+        assert (result.returncode, result.stdout, result.stderr) == (code, "", expected)
+        if category is not None:
+            assert json.loads(result.stderr)["error"] == category
+        assert not (tmp_path / "picked.jsonl").exists()
+
+    def test_failed_flush_exits_120(self):
+        """A command whose buffered stdout cannot be flushed (the pipe's
+        reader is gone) exits 120, as the interpreter's own exit does."""
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # keep the report in the buffer
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "cupid.cli", "nce-check", "--batch", "3",
+                 "--trials", "1"], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 120, result.stderr
+
+
+class TestNothingLeftOpen:
+    """The entry points skip the interpreter's teardown. That is safe because
+    main() has closed every descriptor it opened, and removed its staging
+    directory, by the time it returns, on success and on failure."""
+
+    def test_each_command(self, corpora, tmp_path, capsys):
+        src, tgt = corpora
+        corpus = ["--source-manifest", str(src), "--target-manifest", str(tgt)]
+        np.save(tmp_path / "q.npy", np.eye(4, dtype=np.float32))
+        (tmp_path / "gt.json").write_text("[0, 1, 2, 3]")
+        (tmp_path / "meta.jsonl").write_text(json.dumps(
+            {"video_id": "a", "category": "Food", "title": "pasta",
+             "subtitle_source": "human", "duration_s": 1.0}) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        commands = [
+            (["ingest", "--input", str(tmp_path / "src.npz"), "--out", str(out / "corpus")], 0),
+            (["similarity", "--mode", "matrix", *corpus, "--out", str(out / "m.cpdk")], 0),
+            (["similarity", "--mode", "col-means", *corpus, "--out", str(out / "c.jsonl")], 0),
+            (["similarity", "--mode", "topk", "--topk", "2", *corpus,
+              "--out", str(out / "t.jsonl")], 0),
+            (["curate", "--strategy", "avg-sim", "--capacity", "6", *corpus,
+              "--out", str(out / "avg.jsonl")], 0),
+            (["curate", "--strategy", "knn", "--capacity", "6", *corpus,
+              "--out", str(out / "knn.jsonl")], 0),
+            (["curate", "--strategy", "heuristic", "--metadata", str(tmp_path / "meta.jsonl"),
+              "--allowed-categories", "Food", "--vocabulary", "pasta",
+              "--out", str(out / "h.jsonl")], 0),
+            (["schedule", "--manifest", str(out / "avg.jsonl"), "--sizes", "6,3",
+              "--steps", "10", "--out", str(out / "s.jsonl")], 0),
+            (["probe", "--queries", str(tmp_path / "q.npy"),
+              "--candidates", str(tmp_path / "q.npy"), "--ground-truth",
+              str(tmp_path / "gt.json"), "--out", str(out / "p.json")], 0),
+            (["nce-check", "--batch", "3", "--trials", "1", "--out", str(out / "n.json")], 0),
+            (["stats", "--manifest", str(src), "--out", str(out / "st.json")], 0),
+            # fails after both corpora are open
+            (["curate", "--strategy", "avg-sim", "--capacity", "31", *corpus,
+              "--out", str(out / "big.jsonl")], 1),
+            (["curate", "--strategy", "knn", "--capacity", "3",
+              "--source-manifest", str(tmp_path / "none.jsonl"),
+              "--target-manifest", str(tgt), "--out", str(out / "none.jsonl")], 2),
+        ]
+        fds = sorted(os.listdir("/proc/self/fd"))
+        for args, code in commands:
+            assert main(args) == code, args
+            assert sorted(os.listdir("/proc/self/fd")) == fds, args
+        assert [p.name for p in tmp_path.rglob(".cupid-stage-*")] == []
+        assert not (out / "big.jsonl").exists()

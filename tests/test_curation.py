@@ -1,4 +1,5 @@
 """Curation strategies, overlap exclusion, and the incremental schedule."""
+import json
 import math
 
 import numpy as np
@@ -350,6 +351,21 @@ class TestSerialization:
         assert loaded.strategy == manifest.strategy
         assert loaded.excluded_count == manifest.excluded_count
         assert loaded.config_echo == manifest.config_echo
+
+    @given(rows=st.lists(st.tuples(
+               st.text(st.one_of(st.sampled_from('a"\\\t\x00\x1f\x7f %{}é'),
+                                 st.characters(blacklist_categories=("Cs",))), max_size=5),
+               st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))),
+               unique_by=lambda row: row[0]),
+           strategy=st.sampled_from(["avg_sim", "knn", "heuristic", 'q"é']))
+    @settings(max_examples=200, deadline=None)
+    def test_manifest_writes_json_dumps_lines(self, tmp_path_factory, rows, strategy):
+        path = tmp_path_factory.mktemp("m") / "m.jsonl"
+        entries = [CurationEntry(rank, vid, score) for rank, (vid, score) in enumerate(rows, 1)]
+        write_curation_manifest(CurationManifest(strategy, entries), path)
+        assert path.read_bytes() == "".join(
+            json.dumps({"rank": e.rank, "video_id": e.video_id, "score": e.score,
+                        "strategy": strategy}) + "\n" for e in entries).encode("utf-8")
 
     def test_manifest_bytes_deterministic(self, tmp_path, rng):
         ids = [f"v{i}" for i in range(20)]
