@@ -310,6 +310,8 @@ def cmd_curate(args) -> dict:
                      source.video_count, args.capacity, scored)
             manifest = curation.curate_avg_sim(ids, means, args.capacity, config)
         else:
+            if target.video_count == 0:
+                raise ArgumentError("target corpus is empty")
             scored = source.video_count
             # Read from the module on each run, so a wrapper installed there is called.
             row_topk = functools.partial(similarity.stream_row_topk, target, source,
@@ -345,8 +347,8 @@ def cmd_schedule(args) -> dict:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    if not sizes:
-        raise UsageError("--sizes must list at least one stage size")
+    if not sizes or min(sizes) < 1:
+        raise UsageError(f"--sizes must list one or more positive stage sizes, got {args.sizes!r}")
     if sizes[0] > len(ranked.entries):
         raise UsageError(
             f"largest stage size {sizes[0]} exceeds manifest length {len(ranked.entries)}")

@@ -105,45 +105,35 @@ def curate_avg_sim(source_ids: Sequence[str], means: np.ndarray, c: int,
 
 def knn_candidate_pool(row_topk: Callable[[int], RowTopK], n_sources: int,
                        pool_target: int) -> tuple[list[tuple[str, float]], int]:
-    """Grow per-row k until the union of per-row top-k reaches pool_target ids.
+    """The union of per-row top-k at the smallest k reaching pool_target ids.
 
-    row_topk(k) is asked first for k = min(max(8, pool_target), n_sources),
-    then for four times the last k. Returns the pool at the smallest depth
-    reaching pool_target, as (source_id, best score over rows) pairs sorted
-    by (score desc, id asc), plus that depth. k stops growing at n_sources
-    even if the pool stays smaller than pool_target.
+    row_topk(k) is called once, for k = min(max(8, pool_target), n_sources):
+    a k-deep row holds k distinct ids, so with one row or more the union
+    reaches pool_target unless k = n_sources, where it holds every id.
+    Returns the pool at the smallest depth reaching pool_target (the full
+    depth if none does) as (source_id, best score over rows) pairs sorted by
+    (score desc, id asc), plus that depth.
     """
     if n_sources == 0:
         return [], 0
-    fetch_k = min(max(8, pool_target), n_sources)
-    while True:
-        topk = row_topk(fetch_k)
-        # Rows are sorted by the same total order for every k, so the top-k
-        # rows for any k <= fetch_k are their prefixes.
-        k, size = _minimal_depth(topk.cols, n_sources, pool_target)
-        if size >= pool_target:
-            break
-        if fetch_k >= n_sources:
-            k = n_sources
-            break
-        fetch_k = min(fetch_k * 4, n_sources)
+    topk = row_topk(min(max(8, pool_target), n_sources))
+    # Rows are sorted, so for any smaller k their first k entries are their top k.
+    k = _minimal_depth(topk.cols, n_sources, pool_target)
     cols, scores = _best_scores(topk.cols[:, :k], topk.scores[:, :k])
     ids = [topk.source_ids[c] for c in cols.tolist()]
     order = np.lexsort((_id_rank(ids), -scores)).tolist()
     return list(zip([ids[i] for i in order], scores[order].tolist())), k
 
 
-def _minimal_depth(cols: np.ndarray, n: int, pool_target: int) -> tuple[int, int]:
+def _minimal_depth(cols: np.ndarray, n: int, pool_target: int) -> int:
     """Smallest depth d whose first d columns of all rows hold pool_target
-    distinct ids, with that id count; the full depth and its count if none
-    does."""
+    distinct ids; the full depth if none does."""
     depth = cols.shape[1] if len(cols) else 0
     first = np.full(n, depth, dtype=np.intp)  # the depth each id first appears at
     depths = np.broadcast_to(np.arange(cols.shape[1]), cols.shape)
     np.minimum.at(first, cols.ravel(), depths.ravel())
     sizes = np.cumsum(np.bincount(first, minlength=depth + 1)[:depth])
-    d = min(int(np.searchsorted(sizes, pool_target)) + 1, depth)
-    return d, int(sizes[d - 1]) if d else 0
+    return min(int(np.searchsorted(sizes, pool_target)) + 1, depth)
 
 
 def _best_scores(cols: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,14 +219,6 @@ _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
 def tokenize_title(title: str) -> set[str]:
     """Case-folded whitespace tokens with ASCII punctuation stripped."""
     return set(title.lower().translate(_PUNCT_TABLE).split())
-
-
-def title_vocabulary(metas: Iterable[VideoMeta]) -> frozenset[str]:
-    """Union of title tokens across a metadata set (target-side vocabulary)."""
-    vocab: set[str] = set()
-    for meta in metas:
-        vocab |= tokenize_title(meta.title)
-    return frozenset(vocab)
 
 
 def curate_heuristic(metas: Iterable[VideoMeta], rules: HeuristicRules) -> CurationManifest:
@@ -378,11 +360,3 @@ def write_schedule(schedule: StagedSchedule, manifest_paths: Sequence[str | Path
         for i, (stage, mpath) in enumerate(zip(schedule.stages, manifest_paths), 1):
             f.write(json.dumps({"stage": i, "manifest_path": str(mpath),
                                 "steps": stage.steps}) + "\n")
-
-
-def read_schedule(path: str | Path) -> list[tuple[int, str, int]]:
-    def parse(line: str) -> tuple[int, str, int]:
-        obj = json_object(line)
-        return int_field(obj, "stage"), str_field(obj, "manifest_path"), int_field(obj, "steps")
-
-    return read_lines(path, "schedule", parse)

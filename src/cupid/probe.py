@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, SchemaError
+from .errors import ArgumentError, DataError, SchemaError
 
 
 @dataclass
@@ -25,7 +25,8 @@ class RetrievalResult:
 
 def rank_queries(query_embs: np.ndarray, candidate_embs: np.ndarray,
                  ground_truth: Sequence[int]) -> list[int]:
-    """Rank of each query's ground-truth candidate under dot-product scoring."""
+    """Rank of each query's ground-truth candidate under dot-product scoring.
+    A NaN or infinite embedding value is a DataError naming its input and row."""
     queries = np.asarray(query_embs, dtype=np.float64)
     candidates = np.asarray(candidate_embs, dtype=np.float64)
     if queries.ndim != 2 or candidates.ndim != 2:
@@ -34,6 +35,10 @@ def rank_queries(query_embs: np.ndarray, candidate_embs: np.ndarray,
         raise SchemaError(
             f"query dim {queries.shape[1]} != candidate dim {candidates.shape[1]}"
         )
+    for name, embs in (("query", queries), ("candidate", candidates)):
+        rows = np.flatnonzero(~np.isfinite(embs).all(axis=1))
+        if len(rows):
+            raise DataError(f"{name} embeddings: row {rows[0]} holds a value that is not finite")
     if len(ground_truth) != queries.shape[0]:
         raise ArgumentError("need exactly one ground-truth index per query")
     gt = np.asarray(ground_truth)

@@ -99,9 +99,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ArgumentError, CapacityError, DataError, FormatError, SchemaError
-from .store import (ClipMatrix, CorpusHandle, _segment_clip_sums, json_object, number_field,
-                    read_lines, str_field)
+from .errors import ArgumentError, CapacityError, DataError, SchemaError
+from .store import ClipMatrix, CorpusHandle, _segment_clip_sums
 
 MATRIX_MAGIC = b"CPDK"
 MATRIX_VERSION = 1
@@ -460,34 +459,8 @@ def save_matrix(view: SimilarityView, path: str | Path) -> None:
         f.write(view.matrix.astype("<f4", copy=False).tobytes())
 
 
-def load_matrix(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < _MATRIX_HEADER.size:
-        raise FormatError(f"{path}: shorter than header")
-    magic, version, p, n = _MATRIX_HEADER.unpack_from(data, 0)
-    if magic != MATRIX_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != MATRIX_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = _MATRIX_HEADER.size + p * n * 4
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    values = np.frombuffer(data, dtype="<f4", count=p * n, offset=_MATRIX_HEADER.size)
-    return values.reshape(p, n).copy()
-
-
 def write_column_means(source_ids: Sequence[str], means: np.ndarray,
                        path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for vid, mean in zip(source_ids, means):
             f.write(json.dumps({"source_id": vid, "avg_sim": float(mean)}) + "\n")
-
-
-def read_column_means(path: str | Path) -> tuple[list[str], np.ndarray]:
-    def parse(line: str) -> tuple[str, float]:
-        obj = json_object(line)
-        return str_field(obj, "source_id"), number_field(obj, "avg_sim")
-
-    rows = read_lines(path, "column-mean", parse)
-    return [vid for vid, _ in rows], np.array([mean for _, mean in rows], dtype=np.float64)

@@ -31,9 +31,10 @@ finite is a FormatError naming the shard.
 
 A corpus is a JSON-lines manifest, one object per video
 {"video_id","shard","offset","clip_count"}, plus the shard files it points
-to. Shard paths are stored relative to the manifest. Video metadata and
-subtitles live in separate JSON-lines files (see read_metadata /
-read_subtitles).
+to. Shard paths are stored relative to the manifest. Video metadata lives
+in a JSON-lines file (read_metadata). No subtitle file is read (the
+heuristic rule takes subtitle_source from the metadata), nor are the
+schedules, column means or matrix dumps the package writes.
 
 Writers trust validated ClipMatrix inputs: build_corpus and
 CorpusHandle.from_arrays compute each record's offset from its id length and
@@ -93,11 +94,9 @@ import struct
 import threading
 import weakref
 from dataclasses import dataclass
-from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -882,10 +881,6 @@ class CorpusHandle:
         with self._lock:
             self.bytes_read += n
 
-    def iter_videos(self) -> Iterator[ClipMatrix]:
-        for row in range(self.video_count):
-            yield self._load_entry(row)
-
     @classmethod
     def from_arrays(cls, corpus_id: str, role: str,
                     videos: Sequence[ClipMatrix]) -> "CorpusHandle":
@@ -1111,14 +1106,6 @@ def number_field(obj: dict, key: str, finite: bool = False) -> float:
     return float(value)
 
 
-def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
-    lines: list[str] = []
-    for shard, group in groupby(entries, attrgetter("shard")):
-        lines += _manifest_lines(shard, [(e.video_id, e.offset, e.clip_count) for e in group])
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(lines))
-
-
 def _manifest_lines(shard: str, rows: Iterable[tuple[str, int, int]]) -> list[str]:
     """The manifest line json.dumps writes for each (video_id, offset,
     clip_count) row in shard, "\\n" included: its strings quoted as
@@ -1144,39 +1131,6 @@ def read_metadata(path: str | Path) -> list[VideoMeta]:
         return meta
 
     return read_lines(path, "metadata", parse)
-
-
-def write_metadata(metas: Sequence[VideoMeta], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for m in metas:
-            f.write(json.dumps({
-                "video_id": m.video_id, "category": m.category, "title": m.title,
-                "subtitle_source": m.subtitle_source, "duration_s": m.duration_s,
-            }) + "\n")
-
-
-def read_subtitles(path: str | Path) -> dict[str, list[Subtitle]]:
-    """Read JSON-lines subtitles grouped by video, each group sorted by start time."""
-    def parse(line: str) -> tuple[str, Subtitle]:
-        obj = json_object(line)
-        return str_field(obj, "video_id"), Subtitle(
-            str_field(obj, "text"), number_field(obj, "start_s", finite=True),
-            number_field(obj, "end_s", finite=True))
-
-    groups: dict[str, list[Subtitle]] = {}
-    for video_id, sub in read_lines(path, "subtitle", parse):
-        groups.setdefault(video_id, []).append(sub)
-    for subs in groups.values():
-        subs.sort(key=lambda s: s.start_s)
-    return groups
-
-
-def write_subtitles(groups: dict[str, Sequence[Subtitle]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for video_id in groups:
-            for s in groups[video_id]:
-                f.write(json.dumps({"video_id": video_id, "start_s": s.start_s,
-                                    "end_s": s.end_s, "text": s.text}) + "\n")
 
 
 def make_uniform_windows(duration_s: float, n: int) -> list[tuple[float, float]]:

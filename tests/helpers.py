@@ -3,6 +3,7 @@
 The oracles deliberately take the slow path (explicit pairwise dot products
 in float64) so they stay independent of the kernel implementations.
 """
+import dataclasses
 import io
 import json
 import struct
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from cupid import (ArgumentError, ClipMatrix, CorpusHandle, DataError, PoolingMode,
-                   SchemaError, SimilarityView, ingest_shard)
-from cupid.similarity import RowTopK
-from cupid.store import ManifestEntry
+from cupid import (ArgumentError, ClipMatrix, CorpusHandle, DataError, FormatError,
+                   PoolingMode, SchemaError, SimilarityView, Subtitle, ingest_shard)
+from cupid.curation import tokenize_title
+from cupid.similarity import _MATRIX_HEADER, MATRIX_MAGIC, MATRIX_VERSION, RowTopK
+from cupid.store import (ManifestEntry, int_field, json_object, number_field, read_lines,
+                         str_field)
 
 
 def random_videos(rng, prefix, n, max_clips, dim):
@@ -38,8 +41,8 @@ def naive_pair_score(target_video, source_video, pooling):
 
 def naive_matrix(target, source, pooling):
     """Dense float64 reference built from per-pair naive scores."""
-    targets = list(target.iter_videos())
-    sources = list(source.iter_videos())
+    targets = load_videos(target)
+    sources = load_videos(source)
     out = np.empty((len(targets), len(sources)), dtype=np.float64)
     for j, tv in enumerate(targets):
         for i, sv in enumerate(sources):
@@ -207,13 +210,95 @@ def build_corpus_reference(videos, out_dir, corpus_id, role="source", videos_per
         (out_dir / name).write_bytes(data)
         entries += ingest_shard(data, dim, shard_name=name)
     manifest_path = out_dir / f"{corpus_id}.manifest.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        for e in entries:
-            f.write(json.dumps({"video_id": e.video_id, "shard": e.shard,
-                                "offset": e.offset, "clip_count": e.clip_count}) + "\n")
+    write_manifest(entries, manifest_path)
     return CorpusHandle.open(manifest_path, role, corpus_id=corpus_id)
 
 
 def corpus_files(out_dir):
     """{file name: bytes} of the files directly under out_dir."""
     return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir()) if p.is_file()}
+
+
+def load_videos(handle):
+    """Every video of a corpus handle, in manifest order."""
+    return [handle.load_video(video_id) for video_id in handle.video_ids()]
+
+
+def _write_json_lines(objs, path):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(json.dumps(obj) + "\n" for obj in objs))
+
+
+def write_manifest(entries, path):
+    """One json.dumps line per ManifestEntry, keys in field order."""
+    _write_json_lines(map(dataclasses.asdict, entries), path)
+
+
+def write_metadata(metas, path):
+    """One json.dumps line per VideoMeta, keys in field order."""
+    _write_json_lines(map(dataclasses.asdict, metas), path)
+
+
+def write_subtitles(groups, path):
+    """One {"video_id","start_s","end_s","text"} line per subtitle."""
+    _write_json_lines(({"video_id": video_id, "start_s": s.start_s, "end_s": s.end_s,
+                        "text": s.text} for video_id, subs in groups.items() for s in subs),
+                      path)
+
+
+def read_subtitles(path):
+    """JSON-lines subtitles grouped by video, each group sorted by start time."""
+    def parse(line):
+        obj = json_object(line)
+        return str_field(obj, "video_id"), Subtitle(
+            str_field(obj, "text"), number_field(obj, "start_s", finite=True),
+            number_field(obj, "end_s", finite=True))
+
+    groups = {}
+    for video_id, sub in read_lines(path, "subtitle", parse):
+        groups.setdefault(video_id, []).append(sub)
+    for subs in groups.values():
+        subs.sort(key=lambda s: s.start_s)
+    return groups
+
+
+def read_schedule(path):
+    """The (stage, manifest_path, steps) rows of a schedule file."""
+    def parse(line):
+        obj = json_object(line)
+        return int_field(obj, "stage"), str_field(obj, "manifest_path"), int_field(obj, "steps")
+
+    return read_lines(path, "schedule", parse)
+
+
+def read_column_means(path):
+    """The source ids and float64 means of a column-means file."""
+    def parse(line):
+        obj = json_object(line)
+        return str_field(obj, "source_id"), number_field(obj, "avg_sim")
+
+    rows = read_lines(path, "column-mean", parse)
+    return [vid for vid, _ in rows], np.array([mean for _, mean in rows], dtype=np.float64)
+
+
+def load_matrix(path):
+    """The P x N float32 matrix of a CPDK dump; a FormatError if the header
+    or the length is wrong."""
+    data = Path(path).read_bytes()
+    if len(data) < _MATRIX_HEADER.size:
+        raise FormatError(f"{path}: shorter than header")
+    magic, version, p, n = _MATRIX_HEADER.unpack_from(data, 0)
+    if magic != MATRIX_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    if version != MATRIX_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    expected = _MATRIX_HEADER.size + p * n * 4
+    if len(data) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, found {len(data)}")
+    values = np.frombuffer(data, dtype="<f4", count=p * n, offset=_MATRIX_HEADER.size)
+    return values.reshape(p, n).copy()
+
+
+def title_vocabulary(metas):
+    """Union of title tokens across a metadata set (target-side vocabulary)."""
+    return frozenset(token for meta in metas for token in tokenize_title(meta.title))

@@ -37,7 +37,6 @@ from cupid.cli import main
 from cupid.curation import (
     knn_candidate_pool,
     read_curation_manifest,
-    read_schedule,
     write_curation_manifest,
     write_schedule,
 )
@@ -45,8 +44,10 @@ from cupid.nce import gradient_check
 
 from helpers import (
     column_means_from_matrix,
+    load_videos,
     random_corpus,
     random_videos,
+    read_schedule,
     row_topk_from_matrix,
     sort_by_score_then_id,
 )
@@ -261,7 +262,7 @@ def test_criterion_6_nestedness_and_scale_invariance():
         scaled = CorpusHandle.from_arrays(
             "s", "source",
             [ClipMatrix(v.video_id, v.values * np.float32(lam))
-             for v in source.iter_videos()])
+             for v in load_videos(source)])
         s_ids, s_means = stream_column_means(target, scaled)
         for c in (15, 100, 200):
             assert set(curate_avg_sim(s_ids, s_means, c).video_ids()) == set(picks[c]), lam

@@ -14,13 +14,12 @@ import pytest
 import cupid
 import cupid.kernels as kernels
 from cupid.cli import main
-from cupid.curation import read_curation_manifest, read_schedule
+from cupid.curation import read_curation_manifest, write_curation_manifest
 from cupid.errors import FormatError
-from cupid.similarity import load_matrix, read_column_means
 from cupid.store import ClipMatrix, CorpusHandle, build_corpus
 
 from console_script import run_console_script
-from helpers import random_videos
+from helpers import load_matrix, random_videos, read_column_means, read_schedule
 
 
 def _write_npz(path, rng, prefix, n, clips, dim):
@@ -220,6 +219,31 @@ class TestCurate:
         assert not {"s0003", "s0007"} & set(manifest.video_ids())
         sidecar = json.loads((tmp_path / "picked.jsonl.meta.json").read_text())
         assert sidecar["strategy"] == "knn"
+
+    @pytest.mark.parametrize("strategy", ["avg-sim", "knn"])
+    def test_empty_target_corpus_is_an_argument_error(self, corpora, tmp_path, capsys,
+                                                      monkeypatch, strategy):
+        from cupid import similarity
+
+        calls = []
+        row_topk = similarity.stream_row_topk
+
+        def counting_topk(*args, **kwargs):
+            calls.append(args[3])
+            return row_topk(*args, **kwargs)
+
+        monkeypatch.setattr(similarity, "stream_row_topk", counting_topk)
+        src, _ = corpora
+        build_corpus([], tmp_path / "empty", "empty", role="target")
+        before = sorted(tmp_path.iterdir())
+        assert main(["curate", "--strategy", strategy, "--capacity", "6",
+                     "--source-manifest", str(src),
+                     "--target-manifest", str(tmp_path / "empty" / "empty.manifest.jsonl"),
+                     "--out", str(tmp_path / "picked.jsonl")]) == 2
+        assert _single_error(capsys) == {"error": "argument",
+                                         "message": "target corpus is empty"}
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("strategy", ["avg-sim", "knn"])
     def test_max_pooling_leaves_numpy_ma_unimported(self, corpora, tmp_path, strategy):
@@ -425,6 +449,21 @@ class TestSchedule:
                      "--out", str(tmp_path / "s.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", ["10,-1", "10,0", "10,5,-3", "0"])
+    def test_size_below_one_is_a_usage_error(self, tmp_path, capsys, sizes):
+        # A negative size would cut from the end of the ranking, and 0 would
+        # stage an empty manifest.
+        ranked = tmp_path / "ranked.jsonl"
+        entries = [cupid.CurationEntry(i, f"v{i:02d}", 1.0 / i) for i in range(1, 21)]
+        write_curation_manifest(cupid.CurationManifest("avg_sim", entries), ranked)
+        before = sorted(tmp_path.iterdir())
+        assert main(["schedule", "--manifest", str(ranked), "--sizes", sizes,
+                     "--steps", "100", "--out", str(tmp_path / "sched.jsonl")]) == 2
+        assert _single_error(capsys) == {
+            "error": "usage",
+            "message": f"--sizes must list one or more positive stage sizes, got {sizes!r}"}
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestProbe:
     def test_probe_report(self, tmp_path):
@@ -442,6 +481,26 @@ class TestProbe:
         assert report["median_rank"] == 1
         assert report["query_count"] == 4
         assert report["candidate_count"] == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("flag,side", [("--queries", "query"),
+                                           ("--candidates", "candidate")])
+    def test_value_that_is_not_finite_is_a_data_error(self, tmp_path, capsys, flag, side, bad):
+        embs = {"--queries": np.eye(4, dtype=np.float32),
+                "--candidates": np.eye(4, dtype=np.float32)}
+        embs[flag][1, 3] = bad
+        args = ["probe"]
+        for name, values in embs.items():
+            np.save(tmp_path / f"{name[2:]}.npy", values)
+            args += [name, str(tmp_path / f"{name[2:]}.npy")]
+        (tmp_path / "gt.json").write_text("[0, 1, 2, 3]")
+        before = sorted(tmp_path.iterdir())
+        assert main(args + ["--ground-truth", str(tmp_path / "gt.json"),
+                            "--out", str(tmp_path / "report.json")]) == 1
+        assert _single_error(capsys) == {
+            "error": "data",
+            "message": f"{side} embeddings: row 1 holds a value that is not finite"}
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestNceCheck:

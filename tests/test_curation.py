@@ -24,15 +24,14 @@ from cupid import (
 from cupid.curation import (
     knn_candidate_pool,
     read_curation_manifest,
-    read_schedule,
     tokenize_title,
-    title_vocabulary,
     write_curation_manifest,
     write_schedule,
 )
 from cupid.similarity import SimilarityView
 
-from helpers import knn_pool_reference, matrix_topk_provider, sort_by_score_then_id
+from helpers import (knn_pool_reference, matrix_topk_provider, read_schedule,
+                     sort_by_score_then_id, title_vocabulary)
 
 
 class TestAvgSim:
@@ -188,10 +187,18 @@ class TestKnnPoolArrays:
         perm = data.draw(st.permutations(range(n)), label="id order")
         view = SimilarityView([f"t{j}" for j in range(p)], [f"s{i:02d}" for i in perm],
                               np.array(values, dtype=np.float32).reshape(p, n))
-        # Targets above n make k grow to n.
+        # Targets above n make the reference's k grow to n.
         pool_target = data.draw(st.integers(1, n + 8), label="pool target")
-        got_pool, got_k = knn_candidate_pool(matrix_topk_provider(view), n, pool_target)
+        provider, calls = matrix_topk_provider(view), []
+
+        def counting_provider(k):
+            calls.append(k)
+            return provider(k)
+
+        got_pool, got_k = knn_candidate_pool(counting_provider, n, pool_target)
         want_pool, want_k = knn_pool_reference(view, pool_target)
+        # One call is enough: a k-deep row holds k distinct ids.
+        assert calls == [min(max(8, pool_target), n)]
         assert got_k == want_k
         assert _signed(got_pool) == _signed(want_pool)
 

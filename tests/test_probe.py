@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cupid import ArgumentError, SchemaError, rank_queries, summarize
+from cupid import ArgumentError, DataError, SchemaError, rank_queries, summarize
 from cupid.probe import probe_report
 
 
@@ -66,6 +66,17 @@ class TestRankQueries:
     def test_ground_truth_length_mismatch(self):
         with pytest.raises(ArgumentError):
             rank_queries(np.ones((2, 2)), np.ones((3, 2)), [0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["query", "candidate"])
+    def test_value_that_is_not_finite(self, side, bad):
+        # A NaN query scores NaN against every candidate; no candidate then
+        # compares better, so its rank would read 1.
+        queries, candidates = np.eye(3), np.eye(3)
+        (queries if side == "query" else candidates)[2, 1] = bad
+        with pytest.raises(DataError) as got:
+            rank_queries(queries, candidates, [0, 1, 2])
+        assert str(got.value) == f"{side} embeddings: row 2 holds a value that is not finite"
 
 
 class TestSummarize:

@@ -24,20 +24,17 @@ from cupid import (
     stream_column_means,
     stream_row_topk,
 )
-from cupid.similarity import (
-    load_matrix,
-    _RowTopK,
-    read_column_means,
-    save_matrix,
-    write_column_means,
-)
+from cupid.similarity import _RowTopK, save_matrix, write_column_means
 
 from helpers import (
     column_means_from_matrix,
+    load_matrix,
+    load_videos,
     naive_matrix,
     naive_pair_score,
     random_corpus,
     random_videos,
+    read_column_means,
     row_topk_from_matrix,
     sort_by_score_then_id,
 )
@@ -622,7 +619,7 @@ class TestTopkSignedZeros:
 
 def _scaled_corpus(source, factor):
     videos = [ClipMatrix(v.video_id, v.values * np.float32(factor))
-              for v in source.iter_videos()]
+              for v in load_videos(source)]
     return CorpusHandle.from_arrays(source.corpus_id, source.role, videos)
 
 

@@ -8,7 +8,8 @@ import re
 import struct
 import warnings
 from dataclasses import replace
-from itertools import zip_longest
+from itertools import groupby, zip_longest
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -33,22 +34,14 @@ from cupid import (
     write_shard,
 )
 from cupid import store
-from cupid.store import (
-    ManifestEntry,
-    read_manifest,
-    read_metadata,
-    read_subtitles,
-    write_manifest,
-    write_metadata,
-    write_subtitles,
-)
+from cupid.store import ManifestEntry, read_manifest, read_metadata
 
-from cupid.curation import (curate_avg_sim, read_curation_manifest, read_schedule,
-                            write_curation_manifest)
-from cupid.similarity import PoolingMode, read_column_means, stream_column_means
+from cupid.curation import curate_avg_sim, read_curation_manifest, write_curation_manifest
+from cupid.similarity import PoolingMode, stream_column_means
 
-from helpers import (build_corpus_reference, corpus_files, random_videos, read_manifest_lines,
-                     write_shard_reference)
+from helpers import (build_corpus_reference, corpus_files, load_videos, random_videos,
+                     read_column_means, read_manifest_lines, read_schedule, read_subtitles,
+                     write_manifest, write_metadata, write_shard_reference, write_subtitles)
 
 
 def _reload(videos, expected_dim):
@@ -1384,7 +1377,7 @@ class TestBuildCorpus:
         data = write_shard_reference(videos)
         assert handle.manifest == ingest_shard(data, 3, shard_name=":memory:")
         assert bytes(handle._shards[0].read(0, len(data) + 1)) == data
-        assert [v.values.tobytes() for v in handle.iter_videos()] == \
+        assert [v.values.tobytes() for v in load_videos(handle)] == \
             [v.values.tobytes() for v in videos]
         videos[7].values[0, 0] = np.nan
         with pytest.raises(DataError, match="'vé00007' contains non-finite values"):
@@ -1407,9 +1400,13 @@ class TestBuildCorpus:
     @given(rows=st.lists(st.tuples(_IDS, st.sampled_from(["s.shard", "sé", 's"']),
                                    st.integers(0, 2**63), st.integers(1, 9))))
     @settings(max_examples=200, deadline=None)
-    def test_write_manifest_writes_json_dumps_lines(self, tmp_path_factory, rows):
-        path = tmp_path_factory.mktemp("m") / "m.jsonl"
-        write_manifest([ManifestEntry(*row) for row in rows], path)
-        assert path.read_bytes() == "".join(
+    def test_write_manifest_writes_json_dumps_lines(self, rows):
+        # _indexed_manifest compares a shard's formatted index rows, encoded
+        # as ASCII, with the manifest's bytes: it trusts that these are the
+        # json.dumps lines of the rows.
+        lines = [line for shard, group in groupby(rows, itemgetter(1)) for line in
+                 store._manifest_lines(shard, [(vid, offset, count)
+                                               for vid, _, offset, count in group])]
+        assert "".join(lines).encode("ascii") == "".join(
             json.dumps(dict(zip(("video_id", "shard", "offset", "clip_count"), row))) + "\n"
             for row in rows).encode("utf-8")
