@@ -224,7 +224,16 @@ def cmd_ingest(args) -> dict:
     }
 
 
+def _exact_dots(since: int) -> int:
+    """Dots the kernels' certificates have sent to the exact path since
+    kernels.exact_dot_count() read `since`; logged at INFO."""
+    count = kernels.exact_dot_count() - since
+    log.info("%d dots re-scored exactly", count)
+    return count
+
+
 def cmd_similarity(args) -> dict:
+    exact_since = kernels.exact_dot_count()
     target, source = _open_corpora(args)
     pooling = similarity.PoolingMode.parse(args.pooling)
     tile = _tile_config(args)
@@ -258,7 +267,8 @@ def cmd_similarity(args) -> dict:
     args._inputs = [args.target_manifest, args.source_manifest]
     args._report_path = Path(str(out) + ".run.json")
     summary.update({"pooling": pooling.value, "backend": kernels.backend_name(),
-                    "bytes_read": _bytes_read(target, source)})
+                    "bytes_read": _bytes_read(target, source),
+                    "exact_dots": _exact_dots(exact_since)})
     return summary
 
 
@@ -287,6 +297,7 @@ def _heuristic_rules(args) -> curation.HeuristicRules:
 
 
 def cmd_curate(args) -> dict:
+    exact_since = kernels.exact_dot_count()
     strategy = args.strategy.replace("-", "_")
     inputs = []
     if strategy == "heuristic":
@@ -337,6 +348,7 @@ def cmd_curate(args) -> dict:
         summary["backend"] = kernels.backend_name()
         summary["scored"] = scored
         summary["bytes_read"] = _bytes_read(target, source)
+        summary["exact_dots"] = _exact_dots(exact_since)
     return summary
 
 

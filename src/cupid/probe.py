@@ -26,7 +26,8 @@ class RetrievalResult:
 def rank_queries(query_embs: np.ndarray, candidate_embs: np.ndarray,
                  ground_truth: Sequence[int]) -> list[int]:
     """Rank of each query's ground-truth candidate under dot-product scoring.
-    A NaN or infinite embedding value is a DataError naming its input and row."""
+    A NaN or infinite embedding value, or a score that is not finite (finite
+    values can overflow it), is a DataError naming its input and row."""
     queries = np.asarray(query_embs, dtype=np.float64)
     candidates = np.asarray(candidate_embs, dtype=np.float64)
     if queries.ndim != 2 or candidates.ndim != 2:
@@ -44,7 +45,11 @@ def rank_queries(query_embs: np.ndarray, candidate_embs: np.ndarray,
     gt = np.asarray(ground_truth)
     if len(gt) and (gt.min() < 0 or gt.max() >= candidates.shape[0]):
         raise ArgumentError("ground-truth index out of range")
-    scores = queries @ candidates.T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        scores = queries @ candidates.T
+    rows = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if len(rows):
+        raise DataError(f"query embeddings: row {rows[0]} has a score that is not finite")
     gt_scores = scores[np.arange(len(gt)), gt]
     ranks = 1 + (scores > gt_scores[:, None]).sum(axis=1)
     return [int(r) for r in ranks]

@@ -9,12 +9,13 @@ shards (CorpusHandle.load_sums), so mean pooling decodes no clip.
 
 Determinism contract
 --------------------
-Accumulation is 64-bit with a fixed index order, so a pair's score depends
-only on the two videos involved. Scores are then rounded once to float32;
-every consumer (dense matrix, column means, per-row top-k) sees those same
-float32 values, and ordered reductions over them are performed in target
-index order. Consequently dense and streaming paths agree bit-for-bit and
-results are independent of tile geometry and worker count.
+A pair's float32 score is defined by the two videos alone, from correctly
+rounded float64 dot products (see the kernels module), so no BLAS, thread
+count, summation order or layout moves a bit of it. Every consumer (dense
+matrix, column means, per-row top-k) sees those same float32 values, and
+ordered reductions over them are performed in target index order.
+Consequently dense and streaming paths agree bit-for-bit and results are
+independent of tile geometry and worker count.
 
 All three consumers take their float32 blocks from one helper,
 _score_blocks: one P x tile_cols block per source tile. stream_row_topk
@@ -54,16 +55,16 @@ Euclidean norm of S_i and d is the dimension; B_i >= |m_i - a_i|. With
 u = 2^-53 and G = M |S_i| / Q_i:
 
 - exact side: by Cauchy-Schwarz |T_j . S_i| / (L_j Q_i) <= |T_j| |S_i| /
-  (L_j Q_i), whose mean over j is G. The dot product, the count product
-  and the division, and the target-order column sum plus the final
-  division by P each add at most d u, 2 u and (P + 1) u times G (to first
-  order). The float32 rounding adds at most 2^-24 |x| + 2^-150 per score,
-  so 2^-24 G + 2^-150 to the mean. S_i adds no error of its own: both
-  passes take the same stored value.
+  (L_j Q_i), whose mean over j is G. The kernel's dot product is correctly
+  rounded, so it adds at most u; the count product and the division add
+  2 u, and the target-order column sum plus the final division by P add
+  (P + 1) u, all times G (to first order). The float32 rounding adds at
+  most 2^-24 |x| + 2^-150 per score, so 2^-24 G + 2^-150 to the mean. S_i
+  adds no error of its own: both passes take the same stored value.
 - estimate side: |C^ - C| <= (P + 1) u M and |C^| <= M (1 + (P + 1) u), so
-  the dot product with S_i and the division by Q_i add at most
-  (P + 1 + d + 1) u G.
-- The float64 terms add up to (2P + 2d + 5) u G, and K holds more than
+  the dot product with S_i (a matmul, d u in any summation order) and the
+  division by Q_i add at most (P + 1 + d + 1) u G.
+- The float64 terms add up to (2P + d + 6) u G, and K holds more than
   four times that, which covers the second-order terms and the rounding of
   a_i +- B_i (|a_i| <= G (1 + small)). K also holds the float32 term
   twice. The second copy covers the rounding of the computed G, |S_i| (a
@@ -127,9 +128,10 @@ class TileConfig:
     """Tiling, threading, and memory limits for kernel evaluation.
 
     Each tile of tile_cols source videos is scored against all P targets in
-    one kernel call: a P x tile_cols float64 block (and its float32 copy)
-    per thread. Tile width and thread count never change results, only peak
-    memory and wall time. max_dense_bytes caps build_similarity_matrix.
+    one kernel call: a P x tile_cols float32 block per thread, plus the mean
+    kernel's P x kernels._CHUNK float64 temporaries. Tile width and thread
+    count never change results, only peak memory and wall time.
+    max_dense_bytes caps build_similarity_matrix.
     """
 
     tile_cols: int = 4096
@@ -165,17 +167,11 @@ def _prepare_side(corpus: CorpusHandle, span: tuple, pooling: PoolingMode) -> tu
     return tile.clips.astype(np.float64), tile.offsets
 
 
-def _video_side(video: ClipMatrix, pooling: PoolingMode) -> tuple[np.ndarray, np.ndarray]:
+def _clip_sum(video: ClipMatrix) -> np.ndarray:
+    """The video's float64 clip sum (1 x dim), as its shard stores it."""
     count = video.clip_count
-    if pooling is PoolingMode.MEAN:
-        counts = np.array([count], dtype=np.intp)
-        return _segment_clip_sums(video.values, np.array([0, count]), counts), counts
-    return video.values.astype(np.float64), np.array([0, count], dtype=np.intp)
-
-
-def _score_block(target_side: tuple, source_side: tuple, pooling: PoolingMode) -> np.ndarray:
-    kernel = kernels.mean_score_block if pooling is PoolingMode.MEAN else kernels.max_score_block
-    return kernel(*target_side, *source_side)
+    return _segment_clip_sums(video.values, np.array([0, count]),
+                              np.array([count], dtype=np.intp))
 
 
 def _each_tile(n: int, tile: TileConfig, work: Callable[[int, int], None]) -> None:
@@ -220,13 +216,12 @@ def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: Pool
     """
     if target_side is None:
         return
+    kernel = kernels.mean_score_block if pooling is PoolingMode.MEAN else kernels.max_score_block
 
     def work(lo: int, hi: int) -> None:
         # A decoded tile is freed once prepared, before the kernel runs.
         span = (lo, hi) if rows is None else (rows[lo:hi],)
-        source_side = _prepare_side(source, span, pooling)
-        with np.errstate(over="ignore"):  # overflow is reported below
-            block32 = _score_block(target_side, source_side, pooling).astype(np.float32)
+        block32 = kernel(*target_side, *_prepare_side(source, span, pooling))
         finite = np.isfinite(block32).all(axis=0)
         if not finite.all():
             col = lo + int(np.argmin(finite))
@@ -240,7 +235,8 @@ def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: Pool
 
 def pair_similarity(target: ClipMatrix, source: ClipMatrix,
                     pooling: PoolingMode = PoolingMode.MEAN) -> float:
-    """Score one target/source video pair (float64).
+    """Score one target/source video pair (float64): the value whose float32
+    rounding is the pair's score (see the kernels module), computed exactly.
 
     Mean pooling averages all L x Q clip dot products; max pooling takes
     their maximum. Symmetric under mean pooling: swapping the arguments
@@ -248,8 +244,11 @@ def pair_similarity(target: ClipMatrix, source: ClipMatrix,
     """
     if target.dim != source.dim:
         raise SchemaError(f"target dim {target.dim} != source dim {source.dim}")
-    block = _score_block(_video_side(target, pooling), _video_side(source, pooling), pooling)
-    return float(block[0, 0])
+    if pooling is PoolingMode.MAX:
+        return kernels.exact_max(target.values.astype(np.float64),
+                                 source.values.astype(np.float64))
+    dot = kernels.exact_dots(_clip_sum(target), _clip_sum(source))[0]
+    return float(dot / float(target.clip_count * source.clip_count))
 
 
 def build_similarity_matrix(target: CorpusHandle, source: CorpusHandle,
@@ -288,7 +287,7 @@ def _mean_candidates(target_side: tuple, source: CorpusHandle, tile: TileConfig,
 
     def work(lo: int, hi: int) -> None:
         sums, counts = source.load_sums(lo, hi)
-        estimate = np.einsum("qk,k->q", sums, center) / counts
+        estimate = (sums @ center) / counts
         reach = np.sqrt(np.einsum("qk,qk->q", sums, sums)) / counts
         bound = scale * reach + _F32_TINY
         overflow = peak * reach >= 2.0 ** 127
@@ -368,6 +367,17 @@ class RowTopK:
                 for cols, scores in zip(self.cols.tolist(), self.scores.tolist())]
 
 
+def _count_down(bits: np.ndarray) -> np.ndarray:
+    """The score field of a top-k key from float32 bits b, and back again:
+    0x7FFFFFFF - b for b < 0x80000000, b itself otherwise (a new uint32
+    array; branch-free, as a masked ufunc costs more than the whole key)."""
+    flip = bits >> 31
+    flip -= 1
+    flip &= 0x7FFFFFFF
+    flip ^= bits
+    return flip
+
+
 class _RowTopK:
     """Per-row top-k of a P x N float32 score matrix fed in column blocks
     of at most block_cols, kept as the k smallest "Top-k keys" of each row
@@ -389,10 +399,11 @@ class _RowTopK:
     def candidates(self, block32: np.ndarray, col0: int) -> np.ndarray:
         """The k smallest keys of each block row: its only entries that can
         make the row's overall top k."""
-        keys = block32.view(np.uint32).astype(np.uint64)
-        negzero = keys == 0x80000000
-        np.bitwise_xor(keys, 0x7FFFFFFF, out=keys, where=keys < 0x80000000)
+        bits = block32.view(np.uint32)
+        negzero = bits == 0x80000000
+        keys = _count_down(bits)
         keys -= negzero  # -0.0 counts as +0.0
+        keys = keys.astype(np.uint64)
         keys <<= 32
         keys |= self.rank_bits[col0:col0 + keys.shape[1]]
         keys |= negzero
@@ -422,8 +433,7 @@ class _RowTopK:
         keys |= 0xFFFFFFFE
         keys += 1
         keys >>= 32
-        np.bitwise_xor(keys, 0x7FFFFFFF, out=keys, where=keys < 0x80000000)
-        scores = keys.astype(np.uint32).view(np.float32)
+        scores = _count_down(keys.astype(np.uint32)).view(np.float32)
         self.keys = keys = None  # free the keys before the columns are made
         return RowTopK(self.ids, self.order[ranks], scores)
 

@@ -6,7 +6,9 @@ in float64) so they stay independent of the kernel implementations.
 import dataclasses
 import io
 import json
+import math
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,33 @@ def naive_pair_score(target_video, source_video, pooling):
     """All L x Q clip dots in float64; grand mean or maximum."""
     dots = target_video.values.astype(np.float64) @ source_video.values.astype(np.float64).T
     return float(dots.mean() if pooling is PoolingMode.MEAN else dots.max())
+
+
+def fraction_dot(x, y):
+    """The correctly rounded float64 value of the exact dot of two float64
+    vectors, summed as fractions; +0.0 when the dot is exactly zero."""
+    total = sum((Fraction(a) * Fraction(b) for a, b in zip(x.tolist(), y.tolist())),
+                Fraction(0))
+    if total == 0:
+        return 0.0
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def fraction_mean_score(t_sum, t_count, s_sum, s_count):
+    """fl32(fl64(CR(T . S) / fl64(L Q))): the mean-pooled score by its definition."""
+    with np.errstate(over="ignore"):
+        return np.float32(fraction_dot(t_sum, s_sum) / float(int(t_count) * int(s_count)))
+
+
+def fraction_max_score(t_clips, s_clips):
+    """fl32 of the largest CR(t_l . s_q) in IEEE total order (+0.0 above -0.0):
+    the max-pooled score by its definition."""
+    dots = [fraction_dot(t, s) for t in t_clips for s in s_clips]
+    with np.errstate(over="ignore"):
+        return np.float32(max(dots, key=lambda v: (v, math.copysign(1.0, v))))
 
 
 def naive_matrix(target, source, pooling):

@@ -317,6 +317,40 @@ class TestShardBytesRead:
         assert f"read {record_bytes} shard bytes" in caplog.text
 
 
+class TestExactDots:
+    """The run report counts the dots the kernels' certificates sent to the
+    exact path. An exactly zero dot always goes there: its interval holds
+    values of both signs. Integer clips orthogonal in 5 of the 8 pairs, and
+    every pair scored (no pruning, k = N), give 5 in each score-based
+    command, and max pooling (one clip a video) gives the same."""
+
+    @pytest.mark.parametrize("command", [
+        ["curate", "--strategy", "avg-sim", "--capacity", "4"],
+        ["curate", "--strategy", "knn", "--capacity", "1"],
+        ["curate", "--strategy", "avg-sim", "--capacity", "4", "--pooling", "max"],
+        ["similarity", "--mode", "matrix"],
+        ["similarity", "--mode", "col-means"],
+        ["similarity", "--mode", "topk", "--topk", "2", "--threads", "2", "--tile-cols", "1"],
+    ])
+    def test_orthogonal_clips_are_rescored_exactly(self, tmp_path, command, caplog):
+        def videos(prefix, rows):
+            return [ClipMatrix(f"{prefix}{i}", np.array([row], dtype=np.float32))
+                    for i, row in enumerate(rows)]
+
+        build_corpus(videos("s", [[1, 0, 0], [0, 0, 1], [1, 1, 0], [0, 0, 2]]),
+                     tmp_path / "src", "src", role="source")
+        build_corpus(videos("t", [[1, 0, 0], [0, 1, 0]]), tmp_path / "tgt", "tgt",
+                     role="target")
+        caplog.set_level("INFO", logger="cupid")
+        out = tmp_path / "out"
+        assert main(command + ["--source-manifest", str(tmp_path / "src" / "src.manifest.jsonl"),
+                               "--target-manifest", str(tmp_path / "tgt" / "tgt.manifest.jsonl"),
+                               "--out", str(out)]) == 0
+        report = json.loads(Path(f"{out}.run.json").read_text())
+        assert report["summary"]["exact_dots"] == 5
+        assert "5 dots re-scored exactly" in caplog.text
+
+
 # Runs a cupid command and prints its RSS after its imports and its peak
 # RSS, in KiB. The peak is VmHWM, not ru_maxrss: on Linux ru_maxrss also
 # counts the RSS of the process that forked the child before its exec.
@@ -500,6 +534,21 @@ class TestProbe:
         assert _single_error(capsys) == {
             "error": "data",
             "message": f"{side} embeddings: row 1 holds a value that is not finite"}
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_score_that_overflows_is_a_data_error(self, tmp_path):
+        np.save(tmp_path / "q.npy", np.array([[1e308, 1e308]]))
+        np.save(tmp_path / "c.npy", np.array([[10.0, -10.0], [1.0, 0.0]]))
+        (tmp_path / "gt.json").write_text("[0]")
+        before = sorted(tmp_path.iterdir())
+        result = run_console_script("cupid", "probe", "--queries", str(tmp_path / "q.npy"),
+                                    "--candidates", str(tmp_path / "c.npy"),
+                                    "--ground-truth", str(tmp_path / "gt.json"),
+                                    "--out", str(tmp_path / "report.json"))
+        assert result.returncode == 1
+        assert [json.loads(line) for line in result.stderr.splitlines()] == [{
+            "error": "data",
+            "message": "query embeddings: row 0 has a score that is not finite"}]
         assert sorted(tmp_path.iterdir()) == before
 
 

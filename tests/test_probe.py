@@ -78,6 +78,16 @@ class TestRankQueries:
             rank_queries(queries, candidates, [0, 1, 2])
         assert str(got.value) == f"{side} embeddings: row 2 holds a value that is not finite"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_score_that_overflows(self):
+        # Finite inputs whose dot overflows: the ground truth [10, -10] scores
+        # inf - inf = NaN against the second query, which would rank it 1.
+        queries = np.array([[1.0, 0.0], [1e308, 1e308]])
+        candidates = np.array([[10.0, -10.0], [1.0, 0.0]])
+        with pytest.raises(DataError) as got:
+            rank_queries(queries, candidates, [1, 0])
+        assert str(got.value) == "query embeddings: row 1 has a score that is not finite"
+
 
 class TestSummarize:
     def test_fixture(self):
