@@ -20,14 +20,15 @@ Shard layout (binary, little-endian):
         footer     u64 byte offset of the index, u64 byte offset of the sums
 
 The index and the sums let mean pooling, which needs only a video's clip
-sum, read no record: CorpusHandle.load_sums checks a tile's manifest rows
-against the index (id bytes, clip count, and an offset equal to a record
-offset) and reads their sums. A v1 shard, a row that disagrees with the
-index, or a shard that is not attached makes load_sums sum the tile's
-records instead, so a v1 corpus gives the same bits and a bad row raises
-what load_video raises. An index or footer that does not describe the
-record area exactly, a sums block cut short, or a stored sum that is not
-finite is a FormatError naming the shard.
+sum, read no record. CorpusHandle.open reads each v2 shard's footer and
+index once; one that does not describe the record area exactly, or a sums
+block cut short, is a FormatError naming the shard, raised at open. A
+handle whose manifest is whole shard blocks in index order (see below) is
+bound: row r is entry r - (its block's first row), and load_sums reads the
+stored sums. Any other handle (a v1 shard, another manifest, one made
+directly) sums the tile's records, which gives the same bits, and a bad row
+raises what load_video raises. A stored sum that is not finite is a
+FormatError naming the shard.
 
 A corpus is a JSON-lines manifest, one object per video
 {"video_id","shard","offset","clip_count"}, plus the shard files it points
@@ -76,13 +77,11 @@ page share a read. It gathers all value rows from that buffer in one copy
 and checks that they are finite. If any check or read fails, the rows are
 re-read one by one, so the error is the one load_video raises.
 
-A sums read (load_sums) finds each row's place in its shard's index with
-one searchsorted per shard and reads the sums of rows that follow each
-other in the index with one positional read straight into the float64
-result, so a contiguous tile costs one read per shard. Rows whose sums lie
-less than _SUM_GAP bytes apart share a read through a staging buffer of at
-most _SUM_WINDOW bytes, from which they are gathered. Each shard's index is
-read once per handle, on the first sums read that needs it.
+A sums read (load_sums) of a bound handle reads the sums of rows that
+follow each other in one shard with one positional read straight into the
+float64 result, so a contiguous tile costs one read per shard. Rows whose
+sums lie less than _SUM_GAP bytes apart share a read through a staging
+buffer of at most _SUM_WINDOW bytes, from which they are gathered.
 """
 from __future__ import annotations
 
@@ -318,7 +317,7 @@ def _short_repr(text: str) -> str:
 
 class _Shard:
     """Positional reads of one shard: from bytes in memory, or from a file
-    descriptor that is closed when the object is dropped.
+    descriptor that close() closes, or else dropping the object.
 
     size is the shard's size when it was attached; callers read inside it,
     and a file that has shrunk since fails the read with a FormatError
@@ -333,7 +332,7 @@ class _Shard:
         else:
             # An unbuffered file object: were it leaked, it would warn.
             file = open(path, "rb", buffering=0)
-            weakref.finalize(self, file.close)
+            self.close = weakref.finalize(self, file.close)
             self.fd, self._data = file.fileno(), None
             self.size = os.fstat(self.fd).st_size
 
@@ -427,7 +426,7 @@ def ingest_shard(stream: BinaryIO | bytes, expected_dim: int,
         return entries
     # The index's offsets and counts fix its id lengths; the records then
     # end where the index begins.
-    index = _SumIndex.read(shard)[0]
+    index = _SumIndex.read(shard)[1]
     counts = np.array([e.clip_count for e in entries], dtype=np.int64)
     if not (np.array_equal(index.offsets, [e.offset for e in entries])
             and np.array_equal(index.counts, counts)
@@ -459,27 +458,25 @@ def read_shard_header(buf, shard_name: str) -> tuple[int, int, int]:
 @dataclass(frozen=True, eq=False)
 class _SumIndex:
     """The index of a v2 shard: row i is the record at offsets[i] with
-    counts[i] clips and the id ids[id_starts[i]:id_starts[i] + id_lens[i]]
-    (int64 columns, offsets ascending); its sum is the dim float64 values at
-    byte sums_at + i * dim * 8."""
+    counts[i] clips and the i-th id of ids, the ids' UTF-8 bytes one after
+    another, id_lens[i] bytes long (int64 columns, offsets ascending); its
+    sum is the dim float64 values at byte sums_at + i * dim * 8."""
 
-    dim: int
     offsets: np.ndarray
     counts: np.ndarray
     id_lens: np.ndarray
-    id_starts: np.ndarray
     ids: np.ndarray         # uint8
     sums_at: int
 
     @classmethod
-    def read(cls, shard: _Shard) -> tuple["_SumIndex | None", int]:
-        """The index of shard and the bytes read for it; None for a v1
-        shard. An index that does not describe the record area exactly, or a
-        footer that does not place the index and the sums inside the shard,
-        is a FormatError naming it."""
+    def read(cls, shard: _Shard) -> tuple[int, "_SumIndex | None", int]:
+        """(dim, index or None for a v1 shard, bytes read) of shard. A bad
+        header, an index that does not describe the record area exactly, or
+        a footer that does not place the index and the sums inside the
+        shard, is a FormatError naming it."""
         version, dim, count = read_shard_header(shard.read(0, _HEADER.size), shard.name)
         if version == 1:
-            return None, _HEADER.size
+            return dim, None, _HEADER.size
         if shard.size < _HEADER.size + _FOOTER.size:
             raise FormatError(f"shard {shard.name!r} has no room for its footer")
         index_at, sums_at = _FOOTER.unpack(shard.read(shard.size - _FOOTER.size, shard.size))
@@ -502,8 +499,8 @@ class _SumIndex:
             valid = np.array_equal(np.append(offsets, index_at), np.append(_HEADER.size, ends))
         if not valid:
             raise FormatError(f"shard {shard.name!r}: its index does not describe its records")
-        return cls(dim, offsets, counts, id_lens, np.cumsum(id_lens) - id_lens, ids,
-                   sums_at), _HEADER.size + _FOOTER.size + len(data)
+        n_bytes = _HEADER.size + _FOOTER.size + len(data)
+        return dim, cls(offsets, counts, id_lens, ids, sums_at), n_bytes
 
 
 @dataclass
@@ -588,7 +585,10 @@ class CorpusHandle:
     The manifest is held as ManifestColumns (`columns`); `manifest` builds
     its rows as ManifestEntry objects on each access. The id -> row map
     load_video needs is built on its first call. `bytes_read` counts the
-    shard bytes its record, index and sums reads have taken so far.
+    shard bytes the handle has read so far: open's header, footer and index
+    reads, then its record and sums reads. A handle from open's index path
+    or from from_arrays is bound (_bind), and load_sums reads its stored
+    sums; any other handle sums records.
     """
 
     def __init__(self, corpus_id: str, role: str,
@@ -616,11 +616,20 @@ class CorpusHandle:
         self._shard_sizes = np.array([-1 if shard is None else shard.size
                                       for shard in self._shards], dtype=np.int64)
         self._rows: dict[str, int] | None = None
-        # Per shard code: its _SumIndex, or None for a v1 shard; filled by
-        # the first sums read that needs it.
-        self._sum_indexes: dict[int, _SumIndex | None] = {}
+        # Per shard code, once bound (_bind): where row 0's sum would start
+        # in its shard, so row r's sum starts at origin + r * dim * 8.
+        self._sum_origins: list[int] | None = None
         self._lock = threading.Lock()
         self.bytes_read = 0
+
+    def _bind(self, indexes: Sequence[_SumIndex]) -> None:
+        """Bind the rows to index entries: the rows of shard code c are the
+        entries of indexes[c] in order, one block per code in code order, so
+        row r of a block whose first row is f is entry r - f."""
+        self._sum_origins, first = [], 0
+        for index in indexes:
+            self._sum_origins.append(index.sums_at - first * self.dim * 8)
+            first += len(index.offsets)
 
     @property
     def manifest(self) -> list[ManifestEntry]:
@@ -670,7 +679,9 @@ class CorpusHandle:
         or read fails, they are re-read one by one through _load_entry, so
         the error raised is the one load_video raises for the first bad row.
         """
-        rows, ids = self._tile_rows(start, stop)
+        rows = self._tile_rows(start, stop)
+        ids = (self.columns.ids[rows] if stop is not None
+               else [self.columns.ids[row] for row in rows.tolist()])
         clips = self._copy_records(rows, ids)
         if clips is None:
             row_list = rows.tolist() if stop is None else range(self.video_count)[rows]
@@ -687,128 +698,72 @@ class CorpusHandle:
         an ascending array of row indices.
 
         A row's sum is its clips added in clip order to +0.0, as
-        _segment_clip_sums adds them. The sums are read from the shards'
-        sums blocks by _read_sums. If a row's shard is a v1 shard or not
-        attached, or a row disagrees with its shard's index, the tile is
-        summed from its records (load_tile) instead, so the bits are the
-        same and a bad row raises what load_video raises.
+        _segment_clip_sums adds them. A bound handle reads the sums from the
+        shards' sums blocks (_read_sums); any other handle sums the tile's
+        records (load_tile), which gives the same bits and raises, for a bad
+        row, what load_video raises.
         """
-        rows, ids = self._tile_rows(start, stop)
-        sums = self._read_sums(rows, ids)
+        rows = self._tile_rows(start, stop)
+        sums = self._read_sums(rows)
         if sums is None:
             tile = self.load_tile(start, stop)
             return _segment_clip_sums(tile.clips, tile.offsets, tile.counts), tile.counts
         return sums, np.asarray(self.columns.clip_counts[rows], dtype=np.intp)
 
-    def _tile_rows(self, start: int | np.ndarray,
-                   stop: int | None) -> tuple[slice | np.ndarray, list[str]]:
-        """The rows of a tile (a slice, or a checked array of row indices if
-        stop is None) and their ids."""
+    def _tile_rows(self, start: int | np.ndarray, stop: int | None) -> slice | np.ndarray:
+        """The rows of a tile: a slice, or a checked array of row indices if
+        stop is None."""
         if stop is not None:
-            rows = slice(start, stop)
-            return rows, self.columns.ids[rows]
+            return slice(start, stop)
         rows = np.asarray(start, dtype=np.intp)
         if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= self.video_count
                                               or (np.diff(rows) <= 0).any())):
             raise ArgumentError("tile rows must be ascending row indices of the corpus")
-        return rows, [self.columns.ids[row] for row in rows.tolist()]
+        return rows
 
-    def _read_sums(self, rows: slice | np.ndarray, ids: list[str]) -> np.ndarray | None:
+    def _read_sums(self, rows: slice | np.ndarray) -> np.ndarray | None:
         """The stored float64 sums of the rows (a slice or an index array),
-        or None unless every row's shard has a sums index (is attached, v2,
-        of the corpus dim) and the row's id bytes, clip count and offset
-        equal those of one of its entries.
-
-        A stored sum that is not finite is a FormatError naming its shard.
+        or None unless the handle is bound (and its dim is not 0). A stored
+        sum that is not finite is a FormatError naming its shard.
         """
-        if not ids:
-            return np.empty((0, self.dim), dtype=np.float64)
-        if not self.dim:  # as _copy_records does
+        if self._sum_origins is None or not self.dim:  # dim 0: as _copy_records does
             return None
-        n = len(ids)
-        joined = "".join(ids)
-        try:
-            id_bytes = joined.encode()
-            offsets = np.asarray(self.columns.offsets[rows], dtype=np.int64)
-            counts = np.asarray(self.columns.clip_counts[rows], dtype=np.int64)
-        except (UnicodeEncodeError, OverflowError):
-            return None
-        id_lens = np.fromiter(map(len, ids), dtype=np.int64, count=n)
-        if len(id_bytes) != len(joined):  # not all ASCII: lengths in bytes
-            id_lens = np.fromiter(map(len, map(str.encode, ids)), dtype=np.int64, count=n)
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(self.video_count))
         codes = self.columns.codes[rows]
-        # Each row's entry in its shard's index, and the stored bytes of its id.
-        at = np.empty(n, dtype=np.int64)
-        stored_ids = np.empty(len(id_bytes), dtype=np.uint8)
-        id_starts = np.cumsum(id_lens) - id_lens
-        indexes = {}
-        # not np.unique, whose first call imports numpy.ma (about 17 ms)
-        shard_codes = np.flatnonzero(np.bincount(codes)).tolist()
-        for code in shard_codes:
-            index = indexes[code] = self._sum_index(code)
-            if index is None or not len(index.offsets):
-                return None
-            sel = slice(None) if len(shard_codes) == 1 else np.flatnonzero(codes == code)
-            found = np.searchsorted(index.offsets, offsets[sel])
-            np.minimum(found, len(index.offsets) - 1, out=found)
-            if not ((index.offsets[found] == offsets[sel]) & (index.counts[found] == counts[sel])
-                    & (index.id_lens[found] == id_lens[sel])).all():
-                return None
-            stored_ids[_ranges(id_starts[sel], id_lens[sel])] = index.ids[
-                _ranges(index.id_starts[found], id_lens[sel])]
-            at[sel] = found
-        if stored_ids.tobytes() != id_bytes:
-            return None
+        n = len(rows)
         sums = np.empty((n, self.dim), dtype=np.float64)
-        # Runs of rows in one shard, in index order, with small gaps.
-        steps = np.diff(at)
         new = np.ones(n, dtype=bool)
-        new[1:] = (codes[1:] != codes[:-1]) | (steps <= 0) | (steps * (self.dim * 8) > _SUM_GAP)
+        new[1:] = (codes[1:] != codes[:-1]) | (np.diff(rows) * (self.dim * 8) > _SUM_GAP)
         bounds = np.append(np.flatnonzero(new), n).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            code = int(codes[lo])
-            self._read_sum_run(code, indexes[code].sums_at, at[lo:hi], sums[lo:hi])
+            self._read_sum_run(int(codes[lo]), rows[lo:hi], sums[lo:hi])
         if not np.isfinite(sums).all():
             bad = int(np.argmin(np.isfinite(sums).all(axis=1)))
             raise FormatError(f"shard {self.columns.shards[codes[bad]]!r}: the stored clip "
-                              f"sum of video {ids[bad]!r} is not finite")
+                              f"sum of video {self.columns.ids[rows[bad]]!r} is not finite")
         return sums
 
-    def _read_sum_run(self, code: int, sums_at: int, at: np.ndarray, out: np.ndarray) -> None:
-        """Fill out with the sums of entries at (ascending) of shard code:
-        straight into out if they follow each other, else through staging
-        buffers of at most _SUM_WINDOW bytes."""
-        shard = self._shards[code]
+    def _read_sum_run(self, code: int, rows: np.ndarray, out: np.ndarray) -> None:
+        """Fill out with the sums of rows (ascending) of shard code: straight
+        into out if they follow each other, else through staging buffers of
+        at most _SUM_WINDOW bytes."""
+        shard, origin = self._shards[code], self._sum_origins[code]
         row_bytes = out.shape[1] * 8
-        if at[-1] - at[0] + 1 == len(at):
-            shard.read_into(sums_at + int(at[0]) * row_bytes, out.reshape(-1).view(np.uint8))
+        if rows[-1] - rows[0] + 1 == len(rows):
+            shard.read_into(origin + int(rows[0]) * row_bytes, out.reshape(-1).view(np.uint8))
             self._count(out.nbytes)
             return
         window = max(_SUM_WINDOW // row_bytes, 1)
         lo = 0
-        while lo < len(at):
-            first = int(at[lo])
-            hi = lo + int(np.searchsorted(at[lo:], first + window))
-            stage = np.empty((int(at[hi - 1]) - first + 1, out.shape[1]), dtype=np.float64)
-            shard.read_into(sums_at + first * row_bytes, stage.reshape(-1).view(np.uint8))
+        while lo < len(rows):
+            first = int(rows[lo])
+            hi = lo + int(np.searchsorted(rows[lo:], first + window))
+            stage = np.empty((int(rows[hi - 1]) - first + 1, out.shape[1]), dtype=np.float64)
+            shard.read_into(origin + first * row_bytes, stage.reshape(-1).view(np.uint8))
             self._count(stage.nbytes)
-            out[lo:hi] = stage[at[lo:hi] - first]
+            out[lo:hi] = stage[rows[lo:hi] - first]
             lo = hi
-
-    def _sum_index(self, code: int) -> _SumIndex | None:
-        """The sums index of shard code, read on first use; None if the shard
-        is not attached, is a v1 shard, or has another dim than the corpus."""
-        with self._lock:
-            if code not in self._sum_indexes:
-                shard = self._shards[code]
-                index = None
-                if shard is not None:
-                    index, n_bytes = _SumIndex.read(shard)
-                    self.bytes_read += n_bytes
-                    if index is not None and index.dim != self.dim:
-                        index = None
-                self._sum_indexes[code] = index
-            return self._sum_indexes[code]
 
     def _copy_records(self, rows: slice | np.ndarray, ids: list[str]) -> np.ndarray | None:
         """The stacked float32 values of the rows (a slice or an index
@@ -884,12 +839,16 @@ class CorpusHandle:
     @classmethod
     def from_arrays(cls, corpus_id: str, role: str,
                     videos: Sequence[ClipMatrix]) -> "CorpusHandle":
-        """Build an in-memory corpus (single anonymous shard) from clip matrices."""
+        """Build an in-memory corpus (single anonymous shard) from clip
+        matrices, its rows bound to the shard's index."""
         dim = videos[0].dim if videos else 0
         data, offsets, counts = _pack_shard(videos, dim, check_finite=True)
         columns = ManifestColumns([v.video_id for v in videos], [":memory:"],
                                   np.zeros(len(videos), dtype=np.intp), offsets, counts)
-        return cls(corpus_id, role, columns, dim, {":memory:": data})
+        handle = cls(corpus_id, role, columns, dim, {":memory:": data})
+        _, index, handle.bytes_read = _SumIndex.read(handle._shards[0])
+        handle._bind([index])
+        return handle
 
     @classmethod
     def open(cls, manifest_path: str | Path, role: str,
@@ -897,34 +856,51 @@ class CorpusHandle:
         """Open a corpus from its JSON-lines manifest, keeping one read-only
         descriptor per shard; the descriptors close when the handle is dropped.
 
-        A manifest of whole v2 shard blocks, as build_corpus writes it, is
-        checked against the shards' indexes instead of parsed
-        (_indexed_manifest); any other manifest is read by read_manifest.
+        Each shard is opened, and its header, footer and index are read and
+        checked (_SumIndex.read), once. A manifest of whole v2 shard blocks,
+        as build_corpus writes it, is checked against those indexes instead
+        of parsed (_indexed_manifest) and binds the handle to them; any
+        other manifest is read by read_manifest.
         """
         manifest_path = Path(manifest_path)
-        columns = _indexed_manifest(manifest_path)
-        if columns is None:
-            columns = read_manifest(manifest_path)
-        base = manifest_path.parent
-        shards: dict[str, _Shard] = {}
-        dim: int | None = None
-        for shard_name in sorted(columns.shards):
-            shard_path = base / shard_name
-            if not shard_path.exists():
-                raise NotFoundError(f"shard file {shard_path} missing")
-            shard = _Shard(shard_name, path=shard_path)
-            _, shard_dim, _ = read_shard_header(shard.read(0, _HEADER.size), shard_name)
-            if shard_dim != 0:
-                if dim is None:
-                    dim = shard_dim
-                elif dim != shard_dim:
-                    raise SchemaError(
-                        f"shard {shard_name!r} has dim {shard_dim}, corpus dim is {dim}"
-                    )
-            shards[shard_name] = shard
-        if dim is None:
+        opened: dict[str, tuple[_Shard, int, _SumIndex | None]] = {}
+        n_read = 0
+
+        def attach(name: str) -> tuple[_Shard, int, _SumIndex | None]:
+            nonlocal n_read
+            if name not in opened:
+                shard_path = manifest_path.parent / name
+                if not shard_path.exists():
+                    raise NotFoundError(f"shard file {shard_path} missing")
+                shard = _Shard(name, path=shard_path)
+                dim, index, n_bytes = _SumIndex.read(shard)
+                opened[name] = shard, dim, index
+                n_read += n_bytes
+            return opened[name]
+
+        try:
+            columns = _indexed_manifest(manifest_path, lambda name: attach(name)[2])
+            bound = columns is not None
+            if not bound:
+                columns = read_manifest(manifest_path)
             dim = 0
-        return cls(corpus_id or manifest_path.stem, role, columns, dim, shards)
+            for shard_name in sorted(columns.shards):
+                shard_dim = attach(shard_name)[1]
+                if dim and shard_dim and shard_dim != dim:  # dim 0: an empty shard
+                    raise SchemaError(
+                        f"shard {shard_name!r} has dim {shard_dim}, corpus dim is {dim}")
+                dim = dim or shard_dim
+            handle = cls(corpus_id or manifest_path.stem, role, columns, dim,
+                         {name: opened[name][0] for name in columns.shards})
+        except BaseException:
+            # The error's traceback holds this frame: close the shards now.
+            for shard, _, _ in opened.values():
+                shard.close()
+            raise
+        handle.bytes_read = n_read
+        if bound:
+            handle._bind([opened[name][2] for name in columns.shards])
+        return handle
 
 
 def build_corpus(videos: Iterable[ClipMatrix], out_dir: str | Path, corpus_id: str,
@@ -985,22 +961,25 @@ def read_manifest(path: str | Path) -> ManifestColumns:
     return ManifestColumns.from_rows(read_lines(path, "manifest", _manifest_row))
 
 
-def _indexed_manifest(path: Path) -> ManifestColumns | None:
+def _indexed_manifest(path: Path, index_of: Callable[[str], _SumIndex | None]
+                      ) -> ManifestColumns | None:
     """The manifest at path with its columns taken from its shards' v2
     indexes, or None unless it is whole shard blocks: for each shard it
     names, in turn and only once, exactly the lines _manifest_lines writes
-    for all of that shard's index rows, in index order.
+    for all of that shard's index rows, in index order. index_of(shard)
+    gives a shard's index as CorpusHandle.open reads it.
 
     The manifest is read one block at a time: the block's first line is
     parsed with the scanner to learn its shard, whose index rows are then
     formatted and compared with the next bytes of the file. _manifest_lines
     writes the json.dumps line of each row, so a block equal to those bytes
     parses, line by line, to the index's rows: the columns are the ones
-    read_manifest gives. Any other manifest (a v1 shard, a shard named by
-    two blocks, a subset or reordering of a shard's rows, blank lines, CRLF,
-    other spacing or key orders) gives None, and so does anything that
-    raises, so read_manifest and open's shard checks decide what a manifest
-    holds and which error it is.
+    read_manifest gives, and row r of a block is entry r of its index. Any
+    other manifest (a v1 shard, a shard named by two blocks, a subset or
+    reordering of a shard's rows, blank lines, CRLF, other spacing or key
+    orders) gives None, and so does anything that raises, so read_manifest
+    and open's shard checks decide what a manifest holds and which error it
+    is.
     """
     ids: list[str] = []
     table: dict[str, int] = {}
@@ -1011,12 +990,11 @@ def _indexed_manifest(path: Path) -> ManifestColumns | None:
                 shard = _manifest_row(line.decode("utf-8").strip())[1]
                 if shard in table:
                     return None
-                index = _SumIndex.read(_Shard(shard, path=path.parent / shard))[0]
+                index = index_of(shard)
                 if index is None:
                     return None
-                raw = index.ids.tobytes()
-                block_ids = [raw[a:a + n].decode("utf-8") for a, n
-                             in zip(index.id_starts.tolist(), index.id_lens.tolist())]
+                raw, ends = index.ids.tobytes(), np.cumsum(index.id_lens).tolist()
+                block_ids = [raw[a:b].decode("utf-8") for a, b in zip([0] + ends, ends)]
                 block = "".join(_manifest_lines(shard, zip(
                     block_ids, index.offsets.tolist(), index.counts.tolist()))).encode("ascii")
                 if not (block.startswith(line)

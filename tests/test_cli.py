@@ -13,6 +13,7 @@ import pytest
 
 import cupid
 import cupid.kernels as kernels
+from cupid import store
 from cupid.cli import main
 from cupid.curation import read_curation_manifest, write_curation_manifest
 from cupid.errors import FormatError
@@ -290,12 +291,14 @@ class TestShardBytesRead:
     def test_run_report_counts_the_shard_bytes_read(self, corpora, tmp_path, caplog):
         src, tgt = corpora
         shards = [p.read_bytes() for d in (src.parent, tgt.parent) for p in d.glob("*.shard")]
-        # Max pooling reads the records: all but the header, index, sums and
-        # footer. Mean pooling reads each shard's header, and what follows
-        # its records (index, sums, footer), whose offset the footer gives.
-        after_records = [len(data) - struct.unpack("<Q", data[-16:-8])[0] for data in shards]
-        record_bytes = sum(len(data) - 14 for data in shards) - sum(after_records)
-        sum_bytes = sum(n + 14 for n in after_records)
+        # Open reads each shard's header, footer and index. Max pooling then
+        # reads the records: all but those, and the sums. Mean pooling reads
+        # the sums instead.
+        footers = [struct.unpack("<QQ", data[-16:]) for data in shards]
+        open_bytes = sum(14 + 16 + sums_at - index_at for index_at, sums_at in footers)
+        record_bytes = sum(index_at - 14 for index_at, _ in footers)
+        sum_bytes = open_bytes + sum(len(data) - 16 - sums_at
+                                     for data, (_, sums_at) in zip(shards, footers))
         caplog.set_level("INFO", logger="cupid")
         corpus_flags = ["--source-manifest", str(src), "--target-manifest", str(tgt)]
         reads = {}
@@ -312,9 +315,50 @@ class TestShardBytesRead:
         # pruned run reads its candidates' sums a second time.
         assert reads["full"] == reads["col-means"] == sum_bytes
         assert sum_bytes < reads["pruned"] < 2 * sum_bytes
-        assert reads["max"] == record_bytes
+        assert reads["max"] == open_bytes + record_bytes
         assert f"read {sum_bytes} shard bytes" in caplog.text
-        assert f"read {record_bytes} shard bytes" in caplog.text
+        assert f"read {open_bytes + record_bytes} shard bytes" in caplog.text
+
+    @pytest.mark.parametrize("strategy", ["avg-sim", "knn"])
+    def test_each_shard_is_opened_and_its_index_read_once(self, rng, tmp_path, monkeypatch,
+                                                          strategy):
+        """Opening a corpus opens each shard file once and reads its index
+        once; the mean-pooling curate run on the open handles does neither
+        again."""
+        for corpus, role, n, per_shard in [("tgt", "target", 7, 3), ("src", "source", 40, 9)]:
+            build_corpus(random_videos(rng, corpus, n, 3, 4), tmp_path / corpus, corpus,
+                         role=role, videos_per_shard=per_shard)
+        events = []
+        shard_init, read_index = store._Shard.__init__, store._SumIndex.read.__func__
+        open_corpus = CorpusHandle.open.__func__
+
+        def counting_init(shard, name, data=None, path=None):
+            if path is not None:
+                events.append(("open", name))
+            shard_init(shard, name, data, path)
+
+        def counting_read(cls, shard):
+            events.append(("index", shard.name))
+            return read_index(cls, shard)
+
+        def marking_open(cls, *args, **kwargs):
+            handle = open_corpus(cls, *args, **kwargs)
+            events.append(("opened", handle.role))
+            return handle
+
+        monkeypatch.setattr(store._Shard, "__init__", counting_init)
+        monkeypatch.setattr(store._SumIndex, "read", classmethod(counting_read))
+        monkeypatch.setattr(CorpusHandle, "open", classmethod(marking_open))
+        assert main(["curate", "--strategy", strategy, "--capacity", "6",
+                     "--source-manifest", str(tmp_path / "src" / "src.manifest.jsonl"),
+                     "--target-manifest", str(tmp_path / "tgt" / "tgt.manifest.jsonl"),
+                     "--out", str(tmp_path / "out.jsonl")]) == 0
+        want = []
+        for corpus, role, n_shards in [("tgt", "target", 3), ("src", "source", 5)]:
+            want += [(kind, f"{corpus}-{k:05d}.shard")
+                     for k in range(n_shards) for kind in ("open", "index")]
+            want.append(("opened", role))
+        assert events == want
 
 
 class TestExactDots:
@@ -1032,8 +1076,11 @@ class TestGoldenTopk:
 
 class TestShardVersions:
     """The same corpora in version 1 shards (no sums block, so mean pooling
-    sums the records) and in version 2 shards give byte-identical artifacts
-    for every scoring command, pooling, thread count and tile width."""
+    sums the records), in version 2 shards, and in version 2 shards whose
+    manifest lists two rows of one shard out of index order (so the rows
+    are not bound to the index and mean pooling sums the records) give
+    byte-identical artifacts for every scoring command, pooling, thread
+    count and tile width."""
 
     COMMANDS = {
         "avg-sim": ["curate", "--strategy", "avg-sim", "--capacity", "5"],
@@ -1055,8 +1102,19 @@ class TestShardVersions:
                                    videos_per_shard=7, version=version)
             build_corpus_reference(targets, tmp_path / f"v{version}" / "tgt", "tgt",
                                    role="target", videos_per_shard=3, version=version)
+        for videos, corpus, i in [(sources, "src", 8), (targets, "tgt", 0)]:
+            # rows i and i + 1 (one shard) swapped in the shard, not in the manifest
+            videos = list(videos)
+            videos[i], videos[i + 1] = videos[i + 1], videos[i]
+            build_corpus_reference(videos, tmp_path / "v2-swapped" / corpus, corpus,
+                                   videos_per_shard=7 if corpus == "src" else 3)
+            manifest = tmp_path / "v2-swapped" / corpus / f"{corpus}.manifest.jsonl"
+            lines = manifest.read_bytes().splitlines(keepends=True)
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+            manifest.write_bytes(b"".join(lines))
+            assert CorpusHandle.open(manifest, "source")._sum_origins is None  # not bound
         artifacts = {}
-        for version in ("v1", "v2"):
+        for version in ("v1", "v2", "v2-swapped"):
             corpus = ["--source-manifest", str(tmp_path / version / "src" / "src.manifest.jsonl"),
                       "--target-manifest", str(tmp_path / version / "tgt" / "tgt.manifest.jsonl")]
             for threads in ("1", "2"):

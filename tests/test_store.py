@@ -421,6 +421,19 @@ class TestCorpusHandle:
             if kind == "none":
                 assert handle.bytes_read - before == _run_bytes([rows[r] for r in tile_rows], 64)
 
+    def test_failed_open_leaves_no_shard_open(self, rng, tmp_path):
+        """Open reads shard 0's index for the first block, then fails on the
+        line after it; the shard is closed while the error is still alive."""
+        build_corpus(random_videos(rng, "v", 6, 2, 3), tmp_path, "c", videos_per_shard=3)
+        path = tmp_path / "c.manifest.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3] + [b"not json\n"] + lines[3:]))
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(FormatError, match=":4: bad manifest line") as got:
+            CorpusHandle.open(path, "source")
+        assert got.value.__traceback__ is not None
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
     def test_dropped_handle_closes_its_descriptors(self, rng, tmp_path):
         build_corpus(random_videos(rng, "v", 5, 3, 4), tmp_path, "corp", videos_per_shard=2)
         with warnings.catch_warnings(record=True) as caught:
@@ -512,9 +525,6 @@ class TestClipSums:
     def test_sums_reads_are_one_read_per_shard_run(self, rng, tmp_path):
         videos = random_videos(rng, "v", 40, 3, 6)
         handle = build_corpus(videos, tmp_path, "c", videos_per_shard=16)
-        handle.load_sums(0, 1)
-        handle.load_sums(20, 21)
-        handle.load_sums(39, 40)  # every index is read now
         before = handle.bytes_read
         handle.load_sums(3, 37)  # three shards, one read each
         assert handle.bytes_read - before == 34 * 6 * 8
@@ -525,9 +535,11 @@ class TestClipSums:
 
 
 class TestSumCorruption:
-    """A sums read checks its rows against the shard's index: a row that
-    disagrees falls back to the records and raises what load_video raises;
-    a corrupt index, footer or sums block is a FormatError naming the shard."""
+    """Open checks every v2 shard's footer and index: a corrupt one, or a
+    sums block cut short, is a FormatError naming the shard, raised at open.
+    A handle whose rows are not bound to the index sums its records and
+    raises what load_video raises; a non-finite stored sum is a FormatError
+    naming its shard."""
 
     def _corpus(self, rng, tmp_path):
         videos = random_videos(rng, "v", 10, 3, 4)
@@ -560,16 +572,19 @@ class TestSumCorruption:
             value = float("nan") if kind == "nan" else float("-inf")
             data[sums_at + 8 * (4 * 2 + 1):sums_at + 8 * (4 * 2 + 2)] = struct.pack("<d", value)
         bad.write_bytes(bytes(data))
-        handle = CorpusHandle.open(manifest, "source")
-        for v in videos:  # the records are intact
-            assert handle.load_video(v.video_id).values.tobytes() == v.values.tobytes()
-        assert handle.load_sums(0, 5)[0].shape == (5, 4)  # the other shard
-        for args in [(0, 10), (np.array([3, 7]),)]:
-            with pytest.raises(FormatError, match=re.escape(repr(bad.name))) as got:
-                handle.load_sums(*args)
-            if kind in ("nan", "inf"):
+        if kind in ("nan", "inf"):
+            handle = CorpusHandle.open(manifest, "source")
+            for v in videos:  # the records are intact
+                assert handle.load_video(v.video_id).values.tobytes() == v.values.tobytes()
+            assert handle.load_sums(0, 5)[0].shape == (5, 4)  # the other shard
+            for args in [(0, 10), (np.array([3, 7]),)]:
+                with pytest.raises(FormatError) as got:
+                    handle.load_sums(*args)
                 assert str(got.value) == (f"shard {bad.name!r}: the stored clip sum of "
                                           "video 'v00007' is not finite")
+        else:
+            with pytest.raises(FormatError, match=re.escape(repr(bad.name))):
+                CorpusHandle.open(manifest, "source")
         with pytest.raises(FormatError, match=re.escape(repr(bad.name))):
             ingest_shard(bytes(data), 4, shard_name=bad.name)
 
@@ -615,7 +630,7 @@ class TestSumCorruption:
         for loaded in (False, True):
             handle = CorpusHandle.open(manifest, "source")
             if loaded:
-                handle.load_sums(5, 6)  # the index is read before the cut
+                handle.load_sums(5, 6)  # a sums read before the cut
             os.truncate(bad, bad.stat().st_size - 20)
             with pytest.raises(FormatError, match=re.escape(repr(bad.name)) + ".*shrank"):
                 handle.load_sums(0, 10)
@@ -631,22 +646,29 @@ class TestSumCorruption:
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_sums_match_load_video_under_corruption(self, data):
-        """A sums read gives _segment_clip_sums of load_video's clips, bit
-        for bit, or raises what load_video raises for the first bad row; a
-        byte flipped in an index or footer may instead be a FormatError
-        naming its shard, and a non-finite stored sum always is one."""
+    def test_sums_match_load_video_under_corruption(self, tmp_path_factory, data):
+        """On shards and a manifest written to files and opened, a sums read
+        gives _segment_clip_sums of load_video's clips, bit for bit, or
+        raises what load_video raises for the first bad row; a byte flipped
+        in an index or footer may instead be a FormatError naming its shard,
+        at open or on the read, and a non-finite stored sum always is one."""
         videos = random_videos(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
                                "v", 7, 3, 3)
         shards = {"a.shard": bytearray(write_shard(videos[:4])),
                   "b.shard": bytearray(write_shard(videos[4:]))}
         entries = [e for name, buf in shards.items()
                    for e in ingest_shard(bytes(buf), 3, shard_name=name)]
-        kind = data.draw(st.sampled_from(
-            ["none", "shift", "count", "id", "shard", "permute", "v1", "index", "nan"]))
+        kind = data.draw(st.sampled_from(["none", "shift", "count", "id", "shard", "permute",
+                                          "reorder", "v1", "index", "nan"]))
         named = poisoned = None  # the shard a FormatError may name; a non-finite sum's video
         if kind == "permute":
             entries = data.draw(st.permutations(entries))
+        elif kind == "reorder":  # one shard's rows, out of index order
+            name = data.draw(st.sampled_from(sorted(shards)))
+            rows = [i for i, e in enumerate(entries) if e.shard == name]
+            order = data.draw(st.permutations(rows).filter(lambda p: p != rows))
+            entries = [entries[order[rows.index(i)]] if i in rows else e
+                       for i, e in enumerate(entries)]
         elif kind == "v1":
             shards["b.shard"] = bytearray(write_shard_reference(videos[4:], version=1))
         elif kind == "index":
@@ -680,8 +702,18 @@ class TestSumCorruption:
             else:
                 e = replace(e, shard="missing.shard")
             entries[i] = e
-        handle = CorpusHandle("c", "source", entries, 3,
-                              {name: bytes(buf) for name, buf in shards.items()})
+        root = tmp_path_factory.mktemp("c")
+        for name, buf in shards.items():
+            (root / name).write_bytes(buf)
+        write_manifest(entries, root / "c.manifest.jsonl")
+        try:
+            handle = CorpusHandle.open(root / "c.manifest.jsonl", "source")
+        except CupidError as exc:  # a missing shard, or a corrupt index or footer
+            if kind == "shard":
+                assert type(exc) is NotFoundError and "missing.shard" in str(exc)
+            else:
+                assert kind == "index" and type(exc) is FormatError and repr(named) in str(exc)
+            return
         lo = data.draw(st.integers(0, len(entries)))
         hi = data.draw(st.integers(lo, len(entries)))
         picked = sorted(data.draw(st.sets(st.integers(0, len(entries) - 1))))
@@ -1030,7 +1062,15 @@ class TestIndexedManifest:
         assert handle.manifest == read_manifest_lines(path)
         assert handle.columns.shards == [f"c-{k:05d}.shard" for k in range(5)]
         assert not handle.columns.offsets.flags.writeable
-        assert handle.bytes_read == 0 and handle._sum_indexes == {}
+        # Open read each shard's header, footer and index, once, and bound
+        # the rows to the index; it read no record and no sum.
+        footers = [struct.unpack("<QQ", (tmp_path / name).read_bytes()[-16:])
+                   for name in handle.columns.shards]
+        assert handle.bytes_read == sum(14 + 16 + sums_at - index_at
+                                        for index_at, sums_at in footers)
+        # row r of shard k (rows 700k on) has its sum at sums_at + (r - 700k) * 2 * 8
+        assert handle._sum_origins == [sums_at - 700 * k * 16
+                                       for k, (_, sums_at) in enumerate(footers)]
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -1055,11 +1095,12 @@ class TestIndexedManifest:
         indexed, scans = [], []
         with pytest.MonkeyPatch.context() as mp:
             find, scan = store._indexed_manifest, store._scan_json
-            mp.setattr(store, "_indexed_manifest", lambda p: indexed.append(find(p)) or indexed[-1])
+            mp.setattr(store, "_indexed_manifest",
+                       lambda *a: indexed.append(find(*a)) or indexed[-1])
             mp.setattr(store, "_scan_json", lambda *a: scans.append(1) or scan(*a))
             got = _open_outcome(path)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(store, "_indexed_manifest", lambda p: None)
+            mp.setattr(store, "_indexed_manifest", lambda *a: None)
             want = _open_outcome(path)
         assert got == want
         if mutation in _WHOLE:
