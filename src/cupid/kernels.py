@@ -12,29 +12,37 @@ clip count L_j; source video i has s_q, S_i and Q_i.
   (+0.0 above -0.0).
 
 A score so depends on the two videos alone: not on the BLAS, its threads,
-the summation order, the memory layout, or the block, group or chunk it is
+the summation order, the memory layout, or the block or chunk it is
 computed in. Inputs are finite.
 
 Certificate
 -----------
-Both kernels take their dots from np.matmul, whose error in any summation
+The mean kernel takes its dots from np.matmul, whose error in any summation
 order is at most gamma_d |x| |y| with gamma_d = d u / (1 - d u), u = 2^-53
-and d the dimension, and give every cell an interval around its computed
+and d the dimension, and gives every cell an interval around its computed
 value that holds the exact one. The rounding a score goes through is
 monotone, so when both ends of the interval round to the same float32 bits,
 so does the exact value, and the cell keeps them. The interval's half-width
 is 2 (d + 4) u times a product of norms. The errors it must hold add up to
 at most (d + 5) u times that product to first order: gamma_d of the dot,
-2 u of dividing the inputs by their clip counts (mean), 2 u of the rounding
+2 u of dividing the inputs by their clip counts, 2 u of the rounding
 to the float64 quotient and u of rounding the interval's ends. The other
 (d + 3) u covers the second-order terms and the rounding of the norms and
 of the bound itself, which shrink it by a relative (d + 6) u at most.
 
-- mean: the dots are (T_j / L_j) . (S_i / Q_i) over column chunks of
-  _CHUNK sources, so the float64 temporaries per call are P x _CHUNK. The
-  half-width is one per column, from the largest target norm.
-- max: the certificate is per video pair: the pair's largest clip dot +-
-  one bound per grid, from the largest clip norms on each side.
+The dots are (T_j / L_j) . (S_i / Q_i) over column chunks of _CHUNK
+sources, so the float64 temporaries per call are P x _CHUNK. The half-width
+is one per column, from the largest target norm.
+
+Max pooling has no certificate of its own. With clip counts of 1 the mean
+score is fl32(fl64(CR(t_l . s_q) / 1)) = fl32(CR(t_l . s_q)), one certified
+score per clip pair; fl32 is monotone in IEEE total order, so the
+total-order max of those scores is fl32(max CR), the max score. So
+max_score_block runs the mean kernel on the clips of blocks of whole videos
+with unit counts and max-reduces each video pair: at most _GRID_BYTES //
+(8 _CHUNK L) target videos (L their most clips), which bounds the mean
+kernel's temporaries, and as many sources as keep the float32 clip-pair
+scores under _GRID_BYTES; at least one video on each side.
 
 Exact path
 ----------
@@ -47,15 +55,8 @@ Every exactly zero dot takes this path, as its interval holds values of
 both signs. A row with an entry that is neither 0 nor between 2^-400 and
 2^400 in magnitude could overflow or underflow the split (and the matmul),
 so its dots are summed as fractions.Fraction instead, and it never keeps a
-matmul cell. Under max pooling only the clip dots whose interval reaches
-the pair's largest lower end are recomputed. exact_dot_count() counts the
-recomputed dots.
-
-The max kernel groups the videos on each side by clip count, so one matmul
-scores a whole (target group, source group) clip grid, which is then
-max-reduced per video pair. Target videos are chunked so that no grid
-exceeds _GRID_BYTES (a grid always holds at least one target video against
-its source group, so memory stays bounded by the tile).
+matmul cell. exact_dot_count() counts the recomputed dots: under max
+pooling, clip-pair cells.
 """
 import math
 import operator
@@ -64,7 +65,7 @@ import threading
 
 import numpy as np
 
-# Largest clip grid (float64 bytes) one matmul in max_score_block may allocate.
+# Largest block (bytes) of clip-pair scores or mean-kernel temporaries in max_score_block.
 _GRID_BYTES = 4 * 1024 ** 2
 # Source columns per matmul in mean_score_block.
 _CHUNK = 512
@@ -96,11 +97,6 @@ def _count_exact(n: int) -> None:
     global _exact_total
     with _exact_lock:
         _exact_total += n
-
-
-def _half_width(dim: int) -> float:
-    """The certificate's factor on the product of norms: 2 (d + 4) u."""
-    return (dim + 4) * 2.0 ** -52
 
 
 def _safe_rows(x: np.ndarray) -> np.ndarray:
@@ -157,7 +153,8 @@ def mean_score_block(t_sums, t_counts, s_sums, s_counts):
     t_safe = _safe_rows(t_sums)
     t_unit = t_sums / t_counts[:, None]
     t_unit[~t_safe] = 0.0
-    reach = _half_width(t_sums.shape[1]) * _norms(t_unit).max(initial=0.0)
+    # the half-width's factor 2 (d + 4) u times the largest target norm
+    reach = (t_sums.shape[1] + 4) * 2.0 ** -52 * _norms(t_unit).max(initial=0.0)
     high = np.empty(p * min(n, _CHUNK), dtype=np.float32)
     with np.errstate(over="ignore"):  # a float32 overflow is the score; callers report it
         for a in range(0, n, _CHUNK):
@@ -184,58 +181,45 @@ def mean_score_block(t_sums, t_counts, s_sums, s_counts):
     return out
 
 
-def _count_groups(clips, offsets):
-    """(clip count, video indices, their clip rows stacked contiguously,
-    whether each video's clips are all safe, each video's largest clip norm)
-    for each distinct clip count, in ascending count order. Unsafe clip
-    rows are zeroed, so the matmul over them stays finite."""
-    counts = np.diff(offsets)
-    # not np.unique, whose first call imports numpy.ma (about 17 ms)
-    for count in sorted(set(counts.tolist())):
-        idx = np.flatnonzero(counts == count)
-        rows = clips[(offsets[idx][:, None] + np.arange(count)).ravel()]
-        safe = _safe_rows(rows)
-        rows[~safe] = 0.0
-        yield (count, idx, rows, safe.reshape(-1, count).all(axis=1),
-               _norms(rows).reshape(-1, count).max(axis=1))
-
-
-def exact_max(t_clips: np.ndarray, s_clips: np.ndarray, candidates=None) -> float:
-    """The largest CR(t_l . s_q) in IEEE total order, over the (l, q) cells
-    of the boolean candidates grid, or over all of them."""
-    if candidates is None:
-        candidates = np.ones((len(t_clips), len(s_clips)), dtype=bool)
-    ls, qs = np.nonzero(candidates)
-    dots = exact_dots(t_clips[ls], s_clips[qs]).tolist()
+def exact_max(t_clips: np.ndarray, s_clips: np.ndarray) -> float:
+    """The largest CR(t_l . s_q) in IEEE total order."""
+    dots = exact_dots(np.repeat(t_clips, len(s_clips), axis=0),
+                      np.tile(s_clips, (len(t_clips), 1))).tolist()
     return max(dots, key=lambda v: (v, math.copysign(1.0, v)))
 
 
+def _count_down(bits: np.ndarray) -> np.ndarray:
+    """From float32 bits b, a uint32 key whose ascending order is descending
+    IEEE total order, and back again: 0x7FFFFFFF - b for b < 0x80000000, b
+    itself otherwise (a new array; branch-free, as a masked ufunc costs more
+    than the whole top-k key)."""
+    flip = bits >> 31
+    flip -= 1
+    flip &= 0x7FFFFFFF
+    flip ^= bits
+    return flip
+
+
+# Bound at import: a wrapper installed on mean_score_block sees max_score_block's calls once.
+_mean_block = mean_score_block
+
+
 def max_score_block(t_clips, t_offsets, s_clips, s_offsets):
-    out = np.empty((len(t_offsets) - 1, len(s_offsets) - 1), dtype=np.float32)
-    factor = _half_width(t_clips.shape[1])
-    sources = list(_count_groups(s_clips, s_offsets))
-    with np.errstate(over="ignore"):  # a float32 overflow is the score; callers report it
-        for tc, t_idx, t_rows, t_safe, t_norm in _count_groups(t_clips, t_offsets):
-            for sc, s_idx, s_rows, s_safe, s_norm in sources:
-                step = max(1, _GRID_BYTES // (8 * tc * len(s_rows)))
-                for a in range(0, len(t_idx), step):
-                    chunk = t_idx[a:a + step]
-                    grid = (t_rows[a * tc:(a + len(chunk)) * tc] @ s_rows.T).reshape(
-                        len(chunk), tc, len(s_idx), sc)
-                    best = grid.max(axis=(1, 3))
-                    bound = factor * t_norm[a:a + len(chunk)].max() * s_norm.max()
-                    low = (best - bound).astype(np.float32)
-                    unsure = low.view(np.uint32) != (best + bound).astype(np.float32).view(
-                        np.uint32)
-                    safe = t_safe[a:a + len(chunk), None] & s_safe[None, :]
-                    for j, i in zip(*np.nonzero(unsure | ~safe)):
-                        t_video = t_clips[t_offsets[chunk[j]]:t_offsets[chunk[j] + 1]]
-                        s_video = s_clips[s_offsets[s_idx[i]]:s_offsets[s_idx[i] + 1]]
-                        # the cells whose interval reaches the pair's lower end
-                        # (3, not 2, bounds: room for the rounding of this test)
-                        reach = (grid[j, :, i, :] >= best[j, i] - 3 * bound
-                                 if safe[j, i] else None)
-                        _count_exact(tc * sc if reach is None else int(reach.sum()))
-                        low[j, i] = exact_max(t_video, s_video, reach)
-                    out[np.ix_(chunk, s_idx)] = low
+    p, n = len(t_offsets) - 1, len(s_offsets) - 1
+    out = np.empty((p, n), dtype=np.float32)
+    t_most, s_most = (int(np.diff(offsets).max(initial=1)) for offsets in (t_offsets, s_offsets))
+    t_step = max(1, _GRID_BYTES // (8 * _CHUNK * t_most))
+    for ja in range(0, p, t_step):
+        t_ends = t_offsets[ja:ja + t_step + 1]
+        t_rows = t_clips[t_ends[0]:t_ends[-1]]
+        t_ones = np.ones(len(t_rows), dtype=np.intp)
+        s_step = max(1, _GRID_BYTES // (4 * len(t_rows) * s_most))
+        for ia in range(0, n, s_step):
+            s_ends = s_offsets[ia:ia + s_step + 1]
+            s_rows = s_clips[s_ends[0]:s_ends[-1]]
+            scores = _mean_block(t_rows, t_ones, s_rows, np.ones(len(s_rows), dtype=np.intp))
+            keys = np.minimum.reduceat(_count_down(scores.view(np.uint32)),
+                                       t_ends[:-1] - t_ends[0], axis=0)
+            keys = np.minimum.reduceat(keys, s_ends[:-1] - s_ends[0], axis=1)
+            out[ja:ja + t_step, ia:ia + s_step] = _count_down(keys).view(np.float32)
     return out

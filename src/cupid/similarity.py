@@ -101,6 +101,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ArgumentError, CapacityError, DataError, SchemaError
+from .kernels import _count_down
 from .store import ClipMatrix, CorpusHandle, _segment_clip_sums
 
 MATRIX_MAGIC = b"CPDK"
@@ -129,7 +130,10 @@ class TileConfig:
 
     Each tile of tile_cols source videos is scored against all P targets in
     one kernel call: a P x tile_cols float32 block per thread, plus the mean
-    kernel's P x kernels._CHUNK float64 temporaries. Tile width and thread
+    kernel's P x kernels._CHUNK float64 temporaries. Under max pooling a
+    thread holds instead the tile's float64 clips and blocks of at most
+    kernels._GRID_BYTES: the max kernel's float32 clip-pair scores and their
+    keys, and the mean kernel's temporaries on them. Tile width and thread
     count never change results, only peak memory and wall time.
     max_dense_bytes caps build_similarity_matrix.
     """
@@ -143,6 +147,8 @@ class TileConfig:
             raise ArgumentError("tile_cols must be >= 1")
         if self.threads < 1:
             raise ArgumentError("threads must be >= 1")
+        if self.max_dense_bytes < 0:
+            raise ArgumentError("max_dense_bytes must be >= 0")
 
 
 DEFAULT_TILE = TileConfig()
@@ -365,17 +371,6 @@ class RowTopK:
         ids = self.source_ids
         return [[(ids[c], s) for c, s in zip(cols, scores)]
                 for cols, scores in zip(self.cols.tolist(), self.scores.tolist())]
-
-
-def _count_down(bits: np.ndarray) -> np.ndarray:
-    """The score field of a top-k key from float32 bits b, and back again:
-    0x7FFFFFFF - b for b < 0x80000000, b itself otherwise (a new uint32
-    array; branch-free, as a masked ufunc costs more than the whole key)."""
-    flip = bits >> 31
-    flip -= 1
-    flip &= 0x7FFFFFFF
-    flip ^= bits
-    return flip
 
 
 class _RowTopK:

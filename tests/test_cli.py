@@ -1215,6 +1215,19 @@ class TestUsageErrors:
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
 
+    @pytest.mark.parametrize("mode", ["matrix", "col-means"])
+    def test_negative_max_dense_bytes_is_an_argument_error(self, corpora, tmp_path, capsys,
+                                                           mode):
+        src, tgt = corpora
+        out = tmp_path / "out" / "scores"
+        out.parent.mkdir()
+        assert main(["similarity", "--mode", mode, "--max-dense-bytes", "-5",
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(out)]) == 2
+        assert _single_error(capsys) == {"error": "argument",
+                                         "message": "max_dense_bytes must be >= 0"}
+        assert list(out.parent.iterdir()) == []
+
     def test_nce_check_bad_trials(self):
         assert main(["nce-check", "--trials", "0"]) == 2
 

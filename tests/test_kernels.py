@@ -123,21 +123,30 @@ class TestDefinition:
                           for i in range(len(s_counts))] for j in range(len(t_counts))],
                         dtype=np.float32)
         grid = data.draw(st.sampled_from([1, kernels._GRID_BYTES]))
-        with mock.patch.object(kernels, "_GRID_BYTES", grid):
+        chunk = data.draw(st.sampled_from([1, 3, kernels._CHUNK]))
+        batch = data.draw(st.sampled_from([1, 2, kernels._EXACT_BATCH]))
+        with mock.patch.multiple(kernels, _GRID_BYTES=grid, _CHUNK=chunk, _EXACT_BATCH=batch):
             got = kernels.max_score_block(_draw_layout(data, t), t_offsets,
                                           _draw_layout(data, s), s_offsets)
         assert got.dtype == np.float32 and got.shape == want.shape
         assert (_bits(got) == _bits(want)).all(), (got, want)
 
-    @pytest.mark.parametrize("t, s", [([-1.0, 0.0], [0.0, 1.0]), ([-0.0, -0.0], [1.0, 2.0]),
-                                      ([2.0, -3.0], [3.0, 2.0]), ([1e300, 1e300], [1e300, -1e300]),
-                                      ([1e-300, -1e-300], [1e-300, 1e-300])])
-    def test_an_exactly_zero_dot_scores_plus_zero(self, t, s):
-        t, s = np.array([t]), np.array([s])
-        one = np.array([1], dtype=np.intp)
-        assert _bits(kernels.mean_score_block(t, one, s, one)).tolist() == [[0]]
-        offsets = np.array([0, 1], dtype=np.intp)
-        assert _bits(kernels.max_score_block(t, offsets, s, offsets)).tolist() == [[0]]
+    @pytest.mark.parametrize("t, s, bits", [
+        ([[-1.0, 0.0]], [[0.0, 1.0]], 0), ([[-0.0, -0.0]], [[1.0, 2.0]], 0),
+        ([[2.0, -3.0]], [[3.0, 2.0]], 0), ([[1e300, 1e300]], [[1e300, -1e300]], 0),
+        ([[1e-300, -1e-300]], [[1e-300, 1e-300]], 0),
+        # max pooling: clip dots -1e-60 and an exact zero give +0.0 ...
+        ([[1e-30, 0.0], [0.0, 1.0]], [[-1e-30, 0.0]], 0),
+        # ... and clip dots -1e-60 and -2e-60 alone give -0.0
+        ([[1e-30, 0.0], [2e-30, 0.0]], [[-1e-30, 0.0]], 0x80000000)])
+    def test_an_exactly_zero_dot_scores_plus_zero(self, t, s, bits):
+        t, s = np.array(t), np.array(s)
+        if len(t) == 1:
+            one = np.array([1], dtype=np.intp)
+            assert _bits(kernels.mean_score_block(t, one, s, one)).tolist() == [[bits]]
+        got = kernels.max_score_block(t, np.array([0, len(t)], dtype=np.intp),
+                                      s, np.array([0, len(s)], dtype=np.intp))
+        assert _bits(got).tolist() == [[bits]]
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3], [3, 2, 1, 0]])
     def test_a_float64_sum_on_a_midpoint_is_not_the_score(self, order):
@@ -156,6 +165,18 @@ class TestDefinition:
         t, s = np.array([[1e-300]]), np.array([[-1e-300]])
         one = np.array([1], dtype=np.intp)
         assert _bits(kernels.mean_score_block(t, one, s, one)).tolist() == [[0x80000000]]
+
+    def test_max_kernel_calls_the_mean_kernel_past_a_wrapper(self, monkeypatch):
+        # Tracing wraps kernels.mean_score_block; a traced max run must not
+        # count the max kernel's inner calls a second time.
+        def wrapper(*args):
+            raise AssertionError("the max kernel called the wrapped mean kernel")
+
+        monkeypatch.setattr(kernels, "mean_score_block", wrapper)
+        t, s = np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([[2.0, 1.0], [0.5, 0.0]])
+        offsets = np.array([0, 1, 2], dtype=np.intp)
+        got = kernels.max_score_block(t, np.array([0, 2], dtype=np.intp), s, offsets)
+        assert got.tolist() == [[5.0, 1.5]]
 
     def test_exact_dots_are_counted(self):
         # integer clips, orthogonal in 3 of the 6 pairs: only those go exact

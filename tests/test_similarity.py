@@ -99,9 +99,9 @@ def _stacked(videos):
 
 
 class TestKernels:
-    def test_max_grid_chunking_and_grouping_keep_pair_scores(self, rng, monkeypatch):
-        # Clip counts 1-9 mixed on both sides: one group per count, and a
-        # one-video chunk when the grid budget is forced below one grid.
+    def test_max_video_blocks_keep_pair_scores(self, rng, monkeypatch):
+        # Clip counts 1-9 mixed on both sides, and one video on each side of
+        # a block when the block budget is forced below one video pair.
         def videos(prefix, n):
             return [ClipMatrix(f"{prefix}{i}", rng.normal(size=(c, 6)).astype(np.float32))
                     for i, c in enumerate(rng.permutation(np.arange(n) % 9 + 1))]
@@ -185,6 +185,13 @@ class TestDenseMatrix:
         with pytest.raises(CapacityError, match="streaming"):
             build_similarity_matrix(target, source, PoolingMode.MEAN,
                                     TileConfig(max_dense_bytes=64))
+
+    @pytest.mark.parametrize("field, least", [("tile_cols", 1), ("threads", 1),
+                                              ("max_dense_bytes", 0)])
+    def test_tile_config_rejects_a_value_below_its_least(self, field, least):
+        with pytest.raises(ArgumentError, match=f"^{field} must be >= {least}$"):
+            TileConfig(**{field: least - 1})
+        assert getattr(TileConfig(**{field: least}), field) == least
 
     def test_dim_mismatch(self, rng):
         target = random_corpus(rng, "t", "target", 2, 2, 4)

@@ -378,7 +378,8 @@ class TestCorpusHandle:
         gaps under and over a page between them, hold load_video's bytes;
         each run of rows with gaps under a page is read once, gaps
         included. A corrupt row, or a shard cut short after open, raises
-        what load_video raises for the first bad row."""
+        what load_video raises for the first bad row; a byte flipped in an
+        index or footer may instead fail the open, naming its shard."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         # Records of 268 to 2060 bytes: one skipped record is a gap under a
         # page, sixteen are a gap over one.
@@ -390,16 +391,23 @@ class TestCorpusHandle:
         kind = data.draw(st.sampled_from(["none", "none", "flip", "nan", "truncate"]))
         e = data.draw(st.sampled_from(rows))
         path = root / e.shard
-        if kind == "flip":  # a byte of a record, header or values
+        in_index = False  # whether the flipped byte is in the shard's index or footer
+        if kind == "flip":  # a byte of a record (header or values), index or footer
             shard = bytearray(path.read_bytes())
-            shard[data.draw(st.integers(14, len(shard) - 1))] ^= data.draw(st.integers(1, 255))
+            pos = data.draw(st.integers(14, len(shard) - 1))
+            in_index = pos >= _sum_block(bytes(shard))[0]
+            shard[pos] ^= data.draw(st.integers(1, 255))
             path.write_bytes(shard)
         elif kind == "nan":
             with open(path, "r+b") as f:
                 f.seek(e.offset + 2 + len(e.video_id) + 4
                        + 4 * data.draw(st.integers(0, 64 * e.clip_count - 1)))
                 f.write(struct.pack("<f", float("nan")))
-        handle = CorpusHandle.open(manifest, "source")
+        try:
+            handle = CorpusHandle.open(manifest, "source")
+        except CupidError as exc:  # open reads every index and footer
+            assert in_index and type(exc) is FormatError and repr(e.shard) in str(exc)
+            return
         if kind == "truncate":
             os.truncate(path, data.draw(st.integers(14, path.stat().st_size - 1)))
         lo = data.draw(st.integers(0, len(rows)))
