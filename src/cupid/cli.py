@@ -13,7 +13,6 @@ The CUPID_LOG environment variable sets the log level (DEBUG, INFO, ...).
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import logging
@@ -56,7 +55,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _hash_inputs(paths) -> dict[str, str]:
+def _hash_inputs(paths, known: dict[str, str]) -> dict[str, str]:
+    """The SHA-256 of each input file (every file under a directory),
+    taken from known where a command has already hashed the file."""
     hashes = {}
     for p in paths:
         p = Path(p)
@@ -64,6 +65,8 @@ def _hash_inputs(paths) -> dict[str, str]:
             for child in sorted(p.rglob("*")):
                 if child.is_file():
                     hashes[str(child)] = _sha256(child)
+        elif str(p) in known:
+            hashes[str(p)] = known[str(p)]
         elif p.is_file():
             hashes[str(p)] = _sha256(p)
     return hashes
@@ -132,12 +135,18 @@ def _tile_config(args) -> similarity.TileConfig:
     return similarity.TileConfig(**{k: v for k, v in kwargs.items() if v is not None})
 
 
+def _open_corpus(args, path: Path, role: str) -> store.CorpusHandle:
+    """Open the corpus at path; the run report cites the manifest digest
+    open took."""
+    handle = store.CorpusHandle.open(path, role)
+    args._digests[str(path)] = handle.manifest_sha256
+    return handle
+
+
 def _open_corpora(args) -> tuple[store.CorpusHandle, store.CorpusHandle]:
     target_path = _require_exists(args.target_manifest, "--target-manifest")
     source_path = _require_exists(args.source_manifest, "--source-manifest")
-    target = store.CorpusHandle.open(target_path, "target")
-    source = store.CorpusHandle.open(source_path, "source")
-    return target, source
+    return _open_corpus(args, target_path, "target"), _open_corpus(args, source_path, "source")
 
 
 def _bytes_read(*handles: store.CorpusHandle) -> int:
@@ -205,9 +214,12 @@ def cmd_ingest(args) -> dict:
     with _Publisher(out_dir.parent) as publisher:
         handle = store.build_corpus(videos, publisher.dir, corpus_id, role=args.role,
                                     videos_per_shard=args.videos_per_shard)
-        # shards before the manifest, so a visible manifest implies its shards
+        # shards, then the digest sidecar, then the manifest, so a visible
+        # manifest implies its shards and sidecar
         for shard in sorted(handle.columns.shards):
             publisher.stage(shard, out_dir / shard)
+        digests_name = store.digests_path(manifest_name).name
+        publisher.stage(digests_name, out_dir / digests_name)
         publisher.stage(manifest_name, out_dir / manifest_name)
         out_dir.mkdir(exist_ok=True)
     args._outputs = publisher.published
@@ -324,11 +336,17 @@ def cmd_curate(args) -> dict:
             if target.video_count == 0:
                 raise ArgumentError("target corpus is empty")
             scored = source.video_count
-            # Read from the module on each run, so a wrapper installed there is called.
-            row_topk = functools.partial(similarity.stream_row_topk, target, source,
-                                         pooling, tile=tile)
+            requested: list[int] = []
+
+            def row_topk(k):
+                requested.append(k)
+                # Read from the module on each call, so a wrapper installed there is called.
+                return similarity.stream_row_topk(target, source, pooling, k, tile=tile)
+
             manifest = curation.curate_knn(row_topk, source.video_count, args.capacity,
                                            args.expansion_factor, args.seed, config)
+            knn = {"k_requested": max(requested), "k_reached": manifest.k_reached,
+                   "pool_size": manifest.config_echo["pool_size"]}
     if args.exclude_ids:
         exclude_path = _require_exists(args.exclude_ids, "--exclude-ids")
         inputs.append(exclude_path)
@@ -349,6 +367,8 @@ def cmd_curate(args) -> dict:
         summary["scored"] = scored
         summary["bytes_read"] = _bytes_read(target, source)
         summary["exact_dots"] = _exact_dots(exact_since)
+    if strategy == "knn":
+        summary.update(knn)
     return summary
 
 
@@ -453,7 +473,7 @@ def cmd_nce_check(args) -> dict:
 
 def cmd_stats(args) -> dict:
     manifest_path = _require_exists(args.manifest, "--manifest")
-    handle = store.CorpusHandle.open(manifest_path, role=args.role)
+    handle = _open_corpus(args, manifest_path, args.role)
     counts = handle.columns.clip_counts
     summary = {
         "corpus_id": handle.corpus_id,
@@ -626,6 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(args, argv)
         args._inputs = []
+        args._digests = {}
         args._outputs = []
         args._report_path = None
         summary = args.handler(args)
@@ -650,7 +671,7 @@ def _write_run_report(args: argparse.Namespace, summary: dict, started: float) -
         "config": {k: v for k, v in sorted(vars(args).items())
                    if not k.startswith("_") and k not in ("handler",)
                    and isinstance(v, (str, int, float, bool, type(None)))},
-        "inputs": _hash_inputs(args._inputs),
+        "inputs": _hash_inputs(args._inputs, args._digests),
         "outputs": [str(p) for p in args._outputs],
         "summary": summary,
         "timings": {"total_s": time.perf_counter() - started},

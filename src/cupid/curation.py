@@ -61,12 +61,16 @@ class CurationEntry:
 
 @dataclass
 class CurationManifest:
-    """Ordered curation result: contiguous 1-based ranks, unique ids."""
+    """Ordered curation result: contiguous 1-based ranks, unique ids.
+
+    k_reached is the KNN pool's depth (knn_candidate_pool) for a manifest
+    curate_knn made, else None; it is not written with the manifest."""
 
     strategy: str
     entries: list[CurationEntry]
     config_echo: dict = field(default_factory=dict)
     excluded_count: int = 0
+    k_reached: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         ids = [e.video_id for e in self.entries]
@@ -166,7 +170,7 @@ def curate_knn(row_topk: Callable[[int], RowTopK], n_sources: int, c: int,
     if not 2.0 <= expansion_factor <= 4.0:
         raise ArgumentError("expansion_factor must lie in [2, 4]")
     pool_target = int(round(expansion_factor * c))
-    pool, _ = knn_candidate_pool(row_topk, n_sources, pool_target)
+    pool, k_reached = knn_candidate_pool(row_topk, n_sources, pool_target)
     if len(pool) < c:
         raise CapacityError(
             f"candidate pool has {len(pool)} ids, capacity is {c} "
@@ -180,7 +184,7 @@ def curate_knn(row_topk: Callable[[int], RowTopK], n_sources: int, c: int,
         "expansion_factor": expansion_factor, "seed": seed,
     }
     echo = dict(echo, pool_size=len(pool))
-    return CurationManifest("knn", entries, echo)
+    return CurationManifest("knn", entries, echo, k_reached=k_reached)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ The oracles deliberately take the slow path (explicit pairwise dot products
 in float64) so they stay independent of the kernel implementations.
 """
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -226,7 +227,8 @@ def build_corpus_reference(videos, out_dir, corpus_id, role="source", videos_per
     """store.build_corpus by its first path: each shard is serialized by
     write_shard_reference (in the given shard version), written, and
     decoded again in full by ingest_shard for its manifest rows, and each
-    manifest line is one json.dumps."""
+    manifest line is one json.dumps. With version 2 shards the digest
+    sidecar is written too, from the files' bytes (write_digests_reference)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries, dim = [], None
@@ -240,7 +242,29 @@ def build_corpus_reference(videos, out_dir, corpus_id, role="source", videos_per
         entries += ingest_shard(data, dim, shard_name=name)
     manifest_path = out_dir / f"{corpus_id}.manifest.jsonl"
     write_manifest(entries, manifest_path)
+    if version == 2:
+        write_digests_reference(manifest_path)
     return CorpusHandle.open(manifest_path, role, corpus_id=corpus_id)
+
+
+def write_digests_reference(manifest_path):
+    """Write the digest sidecar of a manifest of whole v2 shard blocks, read
+    from the files: the manifest's SHA-256 and, per shard in block order,
+    its name, its row count and the SHA-256 of the bytes between the two
+    offsets of its footer."""
+    manifest_path = Path(manifest_path)
+    shards = []
+    for entry in read_manifest_lines(manifest_path):
+        if not shards or shards[-1]["name"] != entry.shard:
+            data = (manifest_path.parent / entry.shard).read_bytes()
+            index_at, sums_at = struct.unpack("<QQ", data[-16:])
+            shards.append({"index_sha256": hashlib.sha256(data[index_at:sums_at]).hexdigest(),
+                           "name": entry.shard, "rows": 0})
+        shards[-1]["rows"] += 1
+    sidecar = {"manifest_sha256": hashlib.sha256(manifest_path.read_bytes()).hexdigest(),
+               "shards": shards}
+    Path(str(manifest_path) + ".digests.json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
 def corpus_files(out_dir):

@@ -15,12 +15,14 @@ import cupid
 import cupid.kernels as kernels
 from cupid import store
 from cupid.cli import main
-from cupid.curation import read_curation_manifest, write_curation_manifest
+from cupid.curation import _minimal_depth, read_curation_manifest, write_curation_manifest
 from cupid.errors import FormatError
+from cupid.similarity import PoolingMode, build_similarity_matrix
 from cupid.store import ClipMatrix, CorpusHandle, build_corpus
 
 from console_script import run_console_script
-from helpers import load_matrix, random_videos, read_column_means, read_schedule
+from helpers import (load_matrix, random_videos, read_column_means, read_schedule,
+                     sort_by_score_then_id)
 
 
 def _write_npz(path, rng, prefix, n, clips, dim):
@@ -57,8 +59,11 @@ class TestIngest:
         assert report["command"] == "ingest"
         assert report["summary"]["videos"] == 3
         assert report["inputs"]
-        written = [out / "corpus-00000.shard", out / "corpus.manifest.jsonl"]
+        # shards, then the digest sidecar, then the manifest
+        written = [out / "corpus-00000.shard", out / "corpus.manifest.jsonl.digests.json",
+                   out / "corpus.manifest.jsonl"]
         assert report["outputs"] == [str(p) for p in written]
+        assert sorted(out.iterdir()) == sorted(written + [out / "run-report.json"])
         assert report["summary"]["shards"] == 1
         assert report["summary"]["bytes_written"] == sum(p.stat().st_size for p in written)
 
@@ -220,6 +225,53 @@ class TestCurate:
         assert not {"s0003", "s0007"} & set(manifest.video_ids())
         sidecar = json.loads((tmp_path / "picked.jsonl.meta.json").read_text())
         assert sidecar["strategy"] == "knn"
+
+    def test_knn_report_gives_k(self, corpora, tmp_path):
+        """The run report gives the k of the provider call, the depth the
+        pool reached and the pool's size; the depth is the one the dense
+        matrix's fully sorted rows reach the pool target at."""
+        src, tgt = corpora
+        out = tmp_path / "picked.jsonl"
+        assert main(["curate", "--strategy", "knn", "--capacity", "4",
+                     "--expansion-factor", "2.5", "--source-manifest", str(src),
+                     "--target-manifest", str(tgt), "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "picked.jsonl.run.json").read_text())["summary"]
+        view = build_similarity_matrix(CorpusHandle.open(tgt, "target"),
+                                       CorpusHandle.open(src, "source"), PoolingMode.MEAN)
+        cols = np.array([sort_by_score_then_id(view.source_ids, row) for row in view.matrix])
+        k_reached = _minimal_depth(cols, 30, 10)
+        assert 1 <= k_reached < 10
+        assert (summary["k_requested"], summary["k_reached"], summary["pool_size"]) == (
+            10, k_reached, len(set(cols[:, :k_reached].ravel().tolist())))
+        sidecar = json.loads((tmp_path / "picked.jsonl.meta.json").read_text())
+        assert sidecar["config"]["pool_size"] == summary["pool_size"]
+
+    def test_manifests_are_read_once_and_cited_by_digest(self, corpora, tmp_path,
+                                                          monkeypatch):
+        """With their digest sidecars, curate reads each manifest file
+        once, to hash it: open formats and parses no manifest line, and the
+        run report cites the digests open took."""
+        src, tgt = corpora
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("a manifest line was formatted or parsed")
+
+        monkeypatch.setattr(store, "open", counting_open, raising=False)
+        monkeypatch.setattr(store, "_manifest_lines", refuse)
+        monkeypatch.setattr(store, "_scan_json", refuse)
+        out = tmp_path / "picked.jsonl"
+        assert main(["curate", "--strategy", "avg-sim", "--capacity", "5",
+                     "--source-manifest", str(src), "--target-manifest", str(tgt),
+                     "--out", str(out)]) == 0
+        assert opened.count(src) == opened.count(tgt) == 1
+        report = json.loads((tmp_path / "picked.jsonl.run.json").read_text())
+        assert report["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+                                    for path in (tgt, src)}
 
     @pytest.mark.parametrize("strategy", ["avg-sim", "knn"])
     def test_empty_target_corpus_is_an_argument_error(self, corpora, tmp_path, capsys,

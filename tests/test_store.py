@@ -976,27 +976,91 @@ class TestManifestReader:
             read_manifest(path)
 
 
-# Ids the manifest writer escapes or that are not ASCII, and the empty id.
-_ESCAPED_IDS = st.text(st.sampled_from('a"\\\x7fé☃'), max_size=3)
+# Ids the manifest writer escapes or that are not ASCII, and the empty id; a
+# newline in an id makes open decode the index ids one by one (_index_ids).
+_ESCAPED_IDS = st.text(st.sampled_from('a"\\\x7fé☃\n'), max_size=3)
 # Ways to change a built corpus, its manifest taken as blocks of lines, one
 # block per shard.
 _MUTATIONS = ["none", "reorder_blocks", "repeat_block", "drop_line", "duplicate_line",
               "swap_lines", "rekey_line", "respace_line", "crlf_line", "blank_line",
               "no_final_newline", "v1_shard", "flip_index_byte", "cut_footer",
               "remove_shard", "other_dim"]
-# The mutations that leave the manifest whole, distinct v2 shard blocks in
-# index order.
-_WHOLE = {"none", "reorder_blocks", "other_dim"}
+# The mutations after which the manifest's rows are still whole, distinct v2
+# shard blocks in index order, so that the handle is bound.
+_BOUND = {"none", "reorder_blocks", "rekey_line", "respace_line", "crlf_line", "blank_line",
+          "no_final_newline"}
+# Ways to change the digest sidecar of a built corpus, or what it records.
+_SIDECAR_CASES = ["sidecar_missing", "sidecar_not_json", "sidecar_wrong_types",
+                  "sidecar_short", "sidecar_stale_manifest", "sidecar_stale_shard",
+                  "sidecar_flipped_id_byte"]
+# The sidecar cases that leave the manifest and the shards as they were built.
+_SIDECAR_ONLY = {"sidecar_missing", "sidecar_not_json", "sidecar_wrong_types", "sidecar_short"}
+# Sidecars of the wrong shape, each from the one build_corpus wrote.
+_WRONG_TYPES = [
+    lambda sc: [sc],
+    lambda sc: dict(sc, manifest_sha256=None),
+    lambda sc: dict(sc, shards={}),
+    lambda sc: dict(sc, shards=[[shard] for shard in sc["shards"]]),
+    lambda sc: {k: v for k, v in sc.items() if k != "shards"},
+    lambda sc: dict(sc, shards=[dict(shard, rows=str(shard["rows"])) for shard in sc["shards"]]),
+    lambda sc: dict(sc, shards=[dict(shard, rows=True) for shard in sc["shards"]]),
+    lambda sc: dict(sc, shards=[dict(shard, name=[shard["name"]]) for shard in sc["shards"]]),
+    lambda sc: dict(sc, shards=[dict(shard, index_sha256=1) for shard in sc["shards"]]),
+    lambda sc: dict(sc, shards=sc["shards"] + sc["shards"][:1]),
+]
 
 
 def _open_outcome(path):
-    """(entries, dim) of the corpus at path, or the type and message of the
-    error opening it raises."""
+    """(entries, dim, bound) of the corpus at path, or the type and message
+    of the error opening it raises."""
     try:
         handle = CorpusHandle.open(path, "source")
     except CupidError as exc:
         return type(exc), str(exc)
-    return handle.columns.entries(), handle.dim
+    return handle.columns.entries(), handle.dim, handle._sum_origins is not None
+
+
+def _mutate_sidecar(data, directory, videos, per_shard, case):
+    """Change the digest sidecar of the corpus build_corpus wrote to
+    directory from videos, or what it records, as case says."""
+    sidecar_path = directory / "c.manifest.jsonl.digests.json"
+    manifest = directory / "c.manifest.jsonl"
+    k = data.draw(st.integers(0, len(videos) // per_shard - 1))
+    shard = directory / f"c-{k:05d}.shard"
+    if case == "sidecar_missing":
+        sidecar_path.unlink()
+    elif case == "sidecar_not_json":
+        text = sidecar_path.read_bytes()
+        sidecar_path.write_bytes(data.draw(st.sampled_from(
+            [b"", b"{", b"\xff\xfe", text[:len(text) // 2], text + b"x", b"[" * 100000])))
+    elif case == "sidecar_wrong_types":
+        wrong = data.draw(st.sampled_from(_WRONG_TYPES))
+        sidecar_path.write_text(json.dumps(wrong(json.loads(sidecar_path.read_text()))))
+    elif case == "sidecar_short":
+        # well formed, but blind to a shard's rows, or to all of them
+        sidecar = json.loads(sidecar_path.read_text())
+        del sidecar["shards"][data.draw(st.integers(0, len(sidecar["shards"]) - 1)):]
+        sidecar_path.write_text(json.dumps(sidecar))
+    elif case == "sidecar_stale_manifest":
+        lines = manifest.read_bytes().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 2))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        manifest.write_bytes(b"".join(lines))
+    elif case == "sidecar_stale_shard":
+        # the same row count and clips, other ids: the manifest still names the old ones
+        batch = videos[k * per_shard:(k + 1) * per_shard]
+        other = [ClipMatrix(f"other{i}{v.video_id}", v.values) for i, v in enumerate(batch)]
+        build_corpus(other, directory / "other", "c", videos_per_shard=per_shard)
+        shard.write_bytes((directory / "other" / "c-00000.shard").read_bytes())
+    elif case == "sidecar_flipped_id_byte":
+        raw = bytearray(shard.read_bytes())
+        index_at, sums_at = struct.unpack("<QQ", raw[-16:])
+        ids_at = index_at + 14 * per_shard
+        if ids_at < sums_at:  # else every id is empty: flip a clip count's top byte
+            raw[data.draw(st.integers(ids_at, sums_at - 1))] ^= 0x01
+        else:
+            raw[index_at + 8 * per_shard + 3] ^= 0x80
+        shard.write_bytes(raw)
 
 
 def _mutate_corpus(data, directory, videos, per_shard, mutation):
@@ -1054,9 +1118,9 @@ def _mutate_corpus(data, directory, videos, per_shard, mutation):
 
 
 class TestIndexedManifest:
-    """CorpusHandle.open reads a manifest of whole v2 shard blocks from the
-    shards' indexes, and any other manifest with the scanner, with the same
-    outcome."""
+    """CorpusHandle.open takes a manifest's columns from its shards' indexes
+    when the digest sidecar vouches for them, and otherwise reads it with
+    the scanner, with the same outcome."""
 
     def test_built_manifest_opens_through_the_index(self, rng, tmp_path, monkeypatch):
         videos = random_videos(rng, "vé\"", 3000, 3, 2)
@@ -1066,8 +1130,9 @@ class TestIndexedManifest:
         scan = store._scan_json
         monkeypatch.setattr(store, "_scan_json", lambda *a: scans.append(1) or scan(*a))
         handle = CorpusHandle.open(path, "source")
-        assert len(scans) == 5  # one per block: its first line
+        assert scans == []  # no manifest line parsed
         assert handle.manifest == read_manifest_lines(path)
+        assert handle.manifest_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
         assert handle.columns.shards == [f"c-{k:05d}.shard" for k in range(5)]
         assert not handle.columns.offsets.flags.writeable
         # Open read each shard's header, footer and index, once, and bound
@@ -1082,10 +1147,12 @@ class TestIndexedManifest:
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_index_path_matches_the_scanner(self, tmp_path_factory, data):
-        """On ingested corpora, whole or changed in one way, open gives what
-        read_manifest and the shard checks give, and takes the index path
-        exactly when the manifest is whole v2 shard blocks in index order."""
+    def test_digest_path_matches_read_manifest(self, tmp_path_factory, data):
+        """On ingested corpora, whole or with the manifest, a shard or the
+        digest sidecar changed in one way, open gives the columns, the
+        binding or the error it gives with the digest path turned off, and
+        takes the digest path exactly when manifest and shards are as
+        build_corpus wrote them."""
         n_shards = data.draw(st.integers(2, 4))
         per_shard = data.draw(st.integers(2, 4))
         ids = data.draw(st.lists(_ESCAPED_IDS, unique=True, min_size=n_shards * per_shard,
@@ -1095,26 +1162,32 @@ class TestIndexedManifest:
                   for vid in ids]
         directory = tmp_path_factory.mktemp("c")
         build_corpus(videos, directory, "c", videos_per_shard=per_shard)
-        mutation = data.draw(st.sampled_from(_MUTATIONS))
-        blocks = _mutate_corpus(data, directory, videos, per_shard, mutation)
         path = directory / "c.manifest.jsonl"
-        path.write_bytes(b"".join(b"".join(block) for block in blocks))
+        built = corpus_files(directory)
+        case = data.draw(st.sampled_from(_MUTATIONS + _SIDECAR_CASES))
+        if case in _MUTATIONS:
+            blocks = _mutate_corpus(data, directory, videos, per_shard, case)
+            path.write_bytes(b"".join(b"".join(block) for block in blocks))
+        else:
+            _mutate_sidecar(data, directory, videos, per_shard, case)
 
-        indexed, scans = [], []
+        recorded, scans = [], []
         with pytest.MonkeyPatch.context() as mp:
-            find, scan = store._indexed_manifest, store._scan_json
-            mp.setattr(store, "_indexed_manifest",
-                       lambda *a: indexed.append(find(*a)) or indexed[-1])
+            find, scan = store._recorded_columns, store._scan_json
+            mp.setattr(store, "_recorded_columns",
+                       lambda *a: recorded.append(find(*a)) or recorded[-1])
             mp.setattr(store, "_scan_json", lambda *a: scans.append(1) or scan(*a))
             got = _open_outcome(path)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(store, "_indexed_manifest", lambda *a: None)
+            mp.setattr(store, "_recorded_columns", lambda *a: None)
             want = _open_outcome(path)
         assert got == want
-        if mutation in _WHOLE:
-            assert indexed[0] is not None and len(scans) == len(blocks)
-        else:
-            assert indexed[0] is None
+        intact = all(corpus_files(directory).get(name) == data
+                     for name, data in built.items())
+        assert (recorded[0] is not None) == intact
+        assert (scans == []) == intact
+        if len(want) == 3:  # opened
+            assert want[2] == (case in _BOUND or case in _SIDECAR_ONLY)
 
 
 class TestJsonlFiles:
@@ -1283,11 +1356,14 @@ _GOLDEN_IDS = ["g00", "g01", 'q"uote', "back\\slash", "café", "del\x7f", "tab\t
                "", "☃ snow", "g09", "g10"]
 # SHA-256 of every file build_corpus(_golden_videos(), d, "gold", videos_per_shard=4)
 # writes; the bytes are the format's, so they must not change with numpy's version.
+# The digest sidecar came with the manifest and shard digests it records unchanged.
 _GOLDEN_SHA256 = {
     "gold-00000.shard": "37fb2ba8ebbac6814b44e719cef1637cbe534967f7280e32cb9fec19a8128d8e",
     "gold-00001.shard": "b03296b4b78ec6a4dd962e392423c24fb4f8186a260a2842c5698a1ee78374cf",
     "gold-00002.shard": "414cfc7453a12e5ae49bd38059088b81f34c111054b5eb0620dcdbdd48dcb0d6",
     "gold.manifest.jsonl": "13e3bde341dd30f246f145e116d22148eac60d3961e3467c64ab0798e21dc3d6",
+    "gold.manifest.jsonl.digests.json":
+        "dc7759159102054ff65cddb2c96550ddcf6b5ab5196ecaebb03763e5e8878468",
 }
 # The same corpus in version 1 shards, as build_corpus wrote it before the
 # index and the sums block: the same manifest, since the records did not move.
@@ -1435,8 +1511,11 @@ class TestBuildCorpus:
     def test_empty_corpus(self, tmp_path):
         handle = build_corpus([], tmp_path / "new", "c")
         build_corpus_reference([], tmp_path / "ref", "c")
-        assert corpus_files(tmp_path / "new") == corpus_files(tmp_path / "ref") == \
-            {"c.manifest.jsonl": b""}
+        assert corpus_files(tmp_path / "new") == corpus_files(tmp_path / "ref") == {
+            "c.manifest.jsonl": b"",
+            "c.manifest.jsonl.digests.json": b'{\n  "manifest_sha256": '
+            b'"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",\n'
+            b'  "shards": []\n}\n'}
         assert handle.video_count == 0
         assert CorpusHandle.from_arrays("c", "source", []).video_count == 0
 
@@ -1450,9 +1529,8 @@ class TestBuildCorpus:
                                    st.integers(0, 2**63), st.integers(1, 9))))
     @settings(max_examples=200, deadline=None)
     def test_write_manifest_writes_json_dumps_lines(self, rows):
-        # _indexed_manifest compares a shard's formatted index rows, encoded
-        # as ASCII, with the manifest's bytes: it trusts that these are the
-        # json.dumps lines of the rows.
+        # The lines build_corpus writes, encoded as ASCII, are the json.dumps
+        # lines of the rows, which read_manifest and other JSON readers parse.
         lines = [line for shard, group in groupby(rows, itemgetter(1)) for line in
                  store._manifest_lines(shard, [(vid, offset, count)
                                                for vid, _, offset, count in group])]
