@@ -501,8 +501,6 @@ def _add_tile_flags(p: argparse.ArgumentParser) -> None:
                    help="worker thread cap (results are identical for any value)")
     p.add_argument("--tile-cols", type=int, default=None,
                    help="source videos per score block (default 4096)")
-    p.add_argument("--max-dense-bytes", type=int, default=None,
-                   help="memory budget for materialized matrices")
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
@@ -533,6 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("similarity", help="dense matrix, column means, or per-row top-k")
     _add_corpus_flags(p)
     _add_tile_flags(p)
+    p.add_argument("--max-dense-bytes", type=int, default=None,
+                   help="memory budget for materialized matrices")
     p.add_argument("--mode", required=True, choices=["matrix", "col-means", "topk"])
     p.add_argument("--topk", type=int, default=None, help="k for --mode topk")
     p.add_argument("--out", required=True)

@@ -334,7 +334,10 @@ def read_curation_manifest(path: str | Path) -> CurationManifest:
 
     rows = read_lines(path, "manifest", parse)
     entries = [entry for entry, _ in rows]
-    strategy = rows[-1][1] if rows else None
+    strategies = sorted({row_strategy for _, row_strategy in rows})
+    if len(strategies) > 1:
+        raise FormatError(f"{path}: rows name different strategies {strategies}")
+    strategy = strategies[0] if strategies else None
     sidecar_path = _sidecar_path(path)
     config_echo: dict = {}
     excluded = 0
@@ -343,13 +346,16 @@ def read_curation_manifest(path: str | Path) -> CurationManifest:
             # defaults first: a sidecar that is not an object fails the merge
             sidecar = {"config": {}, "excluded_count": 0,
                        **json.loads(sidecar_path.read_text(encoding="utf-8"))}
-            if "strategy" in sidecar:
-                strategy = str_field(sidecar, "strategy")
+            stated = str_field(sidecar, "strategy") if "strategy" in sidecar else strategy
             config_echo, excluded = sidecar["config"], int_field(sidecar, "excluded_count")
             if type(config_echo) is not dict:
                 raise TypeError("config must be an object")
         except (ValueError, TypeError) as exc:  # not UTF-8, not JSON, a field of the wrong type
             raise FormatError(f"{sidecar_path}: bad manifest sidecar") from exc
+        if strategy is not None and stated != strategy:
+            raise FormatError(f"{path}: rows name strategy {strategy!r}, "
+                              f"its sidecar {stated!r}")
+        strategy = stated
     if strategy is None:
         raise FormatError(f"{path}: cannot determine strategy (empty manifest, no sidecar)")
     return CurationManifest(strategy, entries, config_echo, excluded)

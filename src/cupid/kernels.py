@@ -13,7 +13,16 @@ clip count L_j; source video i has s_q, S_i and Q_i.
 
 A score so depends on the two videos alone: not on the BLAS, its threads,
 the summation order, the memory layout, or the block or chunk it is
-computed in. Inputs are finite.
+computed in.
+
+Input domain
+------------
+Every entry is finite and either 0 or of magnitude in [2^-149, 2^160]: the
+inputs are float32 clips or float64 sums of fewer than 2^32 of them, and
+CorpusHandle.load_sums rejects a stored sum above 2^160. So no Dekker split,
+product or matmul overflows or underflows: a nonzero product of two entries,
+divided by clip counts below 2^32, lies between 2^-362 and 2^320 in
+magnitude, and its TwoProduct error is a multiple of 2^-402.
 
 Certificate
 -----------
@@ -52,14 +61,10 @@ math.fma is missing before Python 3.13) summed by math.fsum, which rounds
 correctly (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6), 2005;
 Shewchuk, 1997); a dot whose products are all zero is +0.0 without them.
 Every exactly zero dot takes this path, as its interval holds values of
-both signs. A row with an entry that is neither 0 nor between 2^-400 and
-2^400 in magnitude could overflow or underflow the split (and the matmul),
-so its dots are summed as fractions.Fraction instead, and it never keeps a
-matmul cell. exact_dot_count() counts the recomputed dots: under max
+both signs. exact_dot_count() counts the recomputed dots: under max
 pooling, clip-pair cells.
 """
 import math
-import operator
 import sys
 import threading
 
@@ -71,8 +76,6 @@ _GRID_BYTES = 4 * 1024 ** 2
 _CHUNK = 512
 # Cells recomputed exactly at a time: bounds the gathered rows and fsum terms.
 _EXACT_BATCH = 1024
-# Magnitudes whose products and Dekker splits neither overflow nor underflow.
-_SAFE_LO, _SAFE_HI = 2.0 ** -400, 2.0 ** 400
 _SPLITTER = 2.0 ** 27 + 1
 
 _exact_lock = threading.Lock()
@@ -99,12 +102,6 @@ def _count_exact(n: int) -> None:
         _exact_total += n
 
 
-def _safe_rows(x: np.ndarray) -> np.ndarray:
-    """Rows of x whose every entry is 0 or between 2^-400 and 2^400 in magnitude."""
-    mag = np.abs(x)
-    return ((mag == 0) | ((mag >= _SAFE_LO) & (mag <= _SAFE_HI))).all(axis=1)
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(x).sum(axis=1))
 
@@ -119,60 +116,38 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def exact_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """CR(x_c . y_c) for each row pair of x and y (n x d float64)."""
     out = np.zeros(len(x))
-    safe = _safe_rows(x) & _safe_rows(y)
-    live = np.flatnonzero(safe)
-    prod = x[live] * y[live]
-    # Safe products do not underflow: a row of zero products has the dot +0.0
-    # (sparse or one-hot clips give many such cells).
-    nonzero = prod.any(axis=1)
-    live, prod = live[nonzero], prod[nonzero]
+    prod = x * y
+    # Products in the input domain do not underflow: a row of zero products
+    # has the dot +0.0 (sparse or one-hot clips give many such cells).
+    live = np.flatnonzero(prod.any(axis=1))
     if len(live):
-        xs, ys = x[live], y[live]
-        (x_hi, x_lo), (y_hi, y_lo) = _split(xs), _split(ys)
+        prod = prod[live]
+        (x_hi, x_lo), (y_hi, y_lo) = _split(x[live]), _split(y[live])
         err = x_lo * y_lo - (((prod - x_hi * y_hi) - x_lo * y_hi) - x_hi * y_lo)
         # A nonzero sum of floats is at least 2^-1074 in magnitude, so a zero
         # is exact; `or` makes it +0.0 whichever sign fsum gives it.
         out[live] = [math.fsum(terms) or 0.0 for terms in np.hstack([prod, err]).tolist()]
-    if safe.all():
-        return out
-    from fractions import Fraction  # not at import: it costs every command 3 ms and 0.5 MB
-
-    for c in np.flatnonzero(~safe).tolist():
-        total = sum(map(operator.mul, map(Fraction, x[c].tolist()),
-                        map(Fraction, y[c].tolist())), Fraction(0))
-        try:
-            out[c] = float(total)
-        except OverflowError:
-            out[c] = math.inf if total > 0 else -math.inf
     return out
 
 
 def mean_score_block(t_sums, t_counts, s_sums, s_counts):
     p, n = len(t_sums), len(s_sums)
     out = np.empty((p, n), dtype=np.float32)
-    t_safe = _safe_rows(t_sums)
     t_unit = t_sums / t_counts[:, None]
-    t_unit[~t_safe] = 0.0
     # the half-width's factor 2 (d + 4) u times the largest target norm
     reach = (t_sums.shape[1] + 4) * 2.0 ** -52 * _norms(t_unit).max(initial=0.0)
     high = np.empty(p * min(n, _CHUNK), dtype=np.float32)
     with np.errstate(over="ignore"):  # a float32 overflow is the score; callers report it
         for a in range(0, n, _CHUNK):
             b = min(a + _CHUNK, n)
-            s_safe = _safe_rows(s_sums[a:b])
             s_unit = s_sums[a:b] / s_counts[a:b, None]
-            s_unit[~s_safe] = 0.0
             bound = reach * _norms(s_unit)
             dots = t_unit @ s_unit.T
             low, up = out[:, a:b], high[:p * (b - a)].reshape(p, b - a)
             np.subtract(dots, bound, out=low)
             np.add(dots, bound, out=up)
-            unsure = low.view(np.uint32) != up.view(np.uint32)
-            if not t_safe.all():
-                unsure[~t_safe] = True
-            if not s_safe.all():
-                unsure[:, ~s_safe] = True
-            cells = np.flatnonzero(unsure)  # not nonzero(unsure): 20x slower
+            # not nonzero(...): 20x slower
+            cells = np.flatnonzero(low.view(np.uint32) != up.view(np.uint32))
             _count_exact(len(cells))
             for k in range(0, len(cells), _EXACT_BATCH):
                 rows, cols = np.divmod(cells[k:k + _EXACT_BATCH], b - a)

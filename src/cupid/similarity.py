@@ -70,11 +70,9 @@ u = 2^-53 and G = M |S_i| / Q_i:
   twice. The second copy covers the rounding of the computed G, |S_i| (a
   relative (d/2 + 2) u) and M among it, as long as that is below one half,
   and of B_i itself; 2^-149 is twice the subnormal term.
-- float64 neither overflows nor underflows: a nonzero float64 sum of
-  float32 values lies between 2^-149 and 2^160 in magnitude (fewer than
-  2^32 clips below 2^128 each), so the products of two lie between 2^-298
-  and 2^320, and counts below 2^64 move them by far less than the rest of
-  its normal range.
+- float64 neither overflows nor underflows: every entry of T_j and S_i is
+  in the kernels' input domain (see the kernels module), so their products,
+  divided by counts, stay far inside its normal range.
 - A score can overflow float32 only if max_j(|T_j| / L_j) |S_i| / Q_i >=
   2^127; such a source is always a candidate, with bounds -inf and +inf.
 

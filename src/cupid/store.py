@@ -27,8 +27,8 @@ handle whose manifest is whole shard blocks in index order (see below) is
 bound: row r is entry r - (its block's first row), and load_sums reads the
 stored sums. Any other handle (a v1 shard, another manifest, one made
 directly) sums the tile's records, which gives the same bits, and a bad row
-raises what load_video raises. A stored sum that is not finite is a
-FormatError naming the shard.
+raises what load_video raises. A stored sum that is not finite or is
+above 2^160 in magnitude is a FormatError naming the shard.
 
 A corpus is a JSON-lines manifest, one object per video
 {"video_id","shard","offset","clip_count"}, plus the shard files it points
@@ -133,6 +133,9 @@ _SUM_GAP = 8 * _PAGE
 _SUM_WINDOW = 64 * _PAGE
 # Videos whose clip sums are computed together (see _segment_clip_sums).
 _SUM_CHUNK = 256
+# No sum of fewer than 2^32 float32 clips is larger in magnitude (the
+# kernels' input domain); a stored sum above it is corrupt.
+_SUM_LIMIT = 2.0 ** 160
 
 SUBTITLE_SOURCES = ("human", "asr", "none")
 ROLES = ("source", "target")
@@ -740,7 +743,8 @@ class CorpusHandle:
     def _read_sums(self, rows: slice | np.ndarray) -> np.ndarray | None:
         """The stored float64 sums of the rows (a slice or an index array),
         or None unless the handle is bound (and its dim is not 0). A stored
-        sum that is not finite is a FormatError naming its shard.
+        sum that is not finite or is above 2^160 in magnitude is a
+        FormatError naming its shard and video.
         """
         if self._sum_origins is None or not self.dim:  # dim 0: as _copy_records does
             return None
@@ -754,10 +758,13 @@ class CorpusHandle:
         bounds = np.append(np.flatnonzero(new), n).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             self._read_sum_run(int(codes[lo]), rows[lo:hi], sums[lo:hi])
-        if not np.isfinite(sums).all():
-            bad = int(np.argmin(np.isfinite(sums).all(axis=1)))
+        # NaN fails both comparisons
+        if not (sums.max(initial=0.0) <= _SUM_LIMIT and sums.min(initial=0.0) >= -_SUM_LIMIT):
+            bad = int(np.argmin((np.abs(sums) <= _SUM_LIMIT).all(axis=1)))
+            what = ("is not finite" if not np.isfinite(sums[bad]).all()
+                    else "is above 2^160 in magnitude")
             raise FormatError(f"shard {self.columns.shards[codes[bad]]!r}: the stored clip "
-                              f"sum of video {self.columns.ids[rows[bad]]!r} is not finite")
+                              f"sum of video {self.columns.ids[rows[bad]]!r} {what}")
         return sums
 
     def _read_sum_run(self, code: int, rows: np.ndarray, out: np.ndarray) -> None:

@@ -544,6 +544,22 @@ class TestNonFiniteScores:
                                          "message": f"{ranked}:1: bad manifest line"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("part", ["rows", "sidecar"])
+    def test_schedule_rejects_a_manifest_whose_strategies_disagree(self, tmp_path, capsys,
+                                                                     part):
+        ranked = tmp_path / "ranked.jsonl"
+        entries = [cupid.CurationEntry(i, f"v{i}", 1.0 / i) for i in range(1, 4)]
+        write_curation_manifest(cupid.CurationManifest("avg_sim", entries), ranked)
+        edited = ranked if part == "rows" else tmp_path / "ranked.jsonl.meta.json"
+        edited.write_text(edited.read_text().replace('"avg_sim"', '"knn"', 1))
+        message = {"rows": f"{ranked}: rows name different strategies ['avg_sim', 'knn']",
+                   "sidecar": f"{ranked}: rows name strategy 'avg_sim', its sidecar 'knn'"}
+        before = sorted(tmp_path.iterdir())
+        assert main(["schedule", "--manifest", str(ranked), "--sizes", "2,1",
+                     "--steps", "10", "--out", str(tmp_path / "sched.jsonl")]) == 1
+        assert _single_error(capsys) == {"error": "format", "message": message[part]}
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestSchedule:
     def test_three_stage_schedule(self, corpora, tmp_path):
@@ -1279,6 +1295,22 @@ class TestUsageErrors:
         assert _single_error(capsys) == {"error": "argument",
                                          "message": "max_dense_bytes must be >= 0"}
         assert list(out.parent.iterdir()) == []
+
+    def test_curate_has_no_max_dense_bytes(self, corpora, tmp_path, capsys):
+        # curate builds no dense matrix: the flag, and the key in --config, are usage errors
+        src, tgt = corpora
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_dense_bytes": 5}))
+        out = tmp_path / "picked.jsonl"
+        base = ["curate", "--strategy", "avg-sim", "--capacity", "3", "--source-manifest",
+                str(src), "--target-manifest", str(tgt), "--out", str(out)]
+        assert main(base + ["--max-dense-bytes", "5"]) == 2
+        assert "unrecognized arguments: --max-dense-bytes 5" in capsys.readouterr().err
+        assert main(base + ["--config", str(cfg)]) == 2
+        assert _single_error(capsys) == {
+            "error": "usage",
+            "message": "--config key 'max_dense_bytes' is not an option of this command"}
+        assert not out.exists()
 
     def test_nce_check_bad_trials(self):
         assert main(["nce-check", "--trials", "0"]) == 2

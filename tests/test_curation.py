@@ -13,6 +13,7 @@ from cupid import (
     CurationConfig,
     CurationEntry,
     CurationManifest,
+    FormatError,
     HeuristicRules,
     VideoMeta,
     build_incremental_schedule,
@@ -373,6 +374,24 @@ class TestSerialization:
         assert path.read_bytes() == "".join(
             json.dumps({"rank": e.rank, "video_id": e.video_id, "score": e.score,
                         "strategy": strategy}) + "\n" for e in entries).encode("utf-8")
+
+    def test_rows_that_name_different_strategies_are_a_format_error(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_curation_manifest(CurationManifest("knn", [CurationEntry(1, "a", 0.5),
+                                                         CurationEntry(2, "b", 0.25)]), path)
+        path.write_text(path.read_text().replace('"knn"', '"avg_sim"', 1))
+        with pytest.raises(FormatError) as got:
+            read_curation_manifest(path)
+        assert str(got.value) == f"{path}: rows name different strategies ['avg_sim', 'knn']"
+
+    def test_a_sidecar_that_names_another_strategy_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_curation_manifest(CurationManifest("knn", [CurationEntry(1, "a", 0.5)]), path)
+        sidecar = tmp_path / "m.jsonl.meta.json"
+        sidecar.write_text(sidecar.read_text().replace('"knn"', '"avg_sim"'))
+        with pytest.raises(FormatError) as got:
+            read_curation_manifest(path)
+        assert str(got.value) == f"{path}: rows name strategy 'knn', its sidecar 'avg_sim'"
 
     def test_manifest_bytes_deterministic(self, tmp_path, rng):
         ids = [f"v{i}" for i in range(20)]

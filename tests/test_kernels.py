@@ -17,15 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cupid.kernels as kernels
-from cupid import ClipMatrix, build_corpus
+from cupid import ClipMatrix, CorpusHandle, build_corpus
 from cupid.cli import main
 
-from helpers import fraction_max_score, fraction_mean_score
+from helpers import fraction_max_score, fraction_mean_score, load_matrix
 
-# Entries that push a row off the matmul certificate (0 < |x| < 2^-400 or
-# |x| > 2^400: the Fraction path) or onto its edges (signed zeros, 2^+-400).
-_SPECIAL = [0.0, -0.0, 2.0 ** -1074, -(2.0 ** -1074), 1e-300, -1e-300, 2.0 ** -400,
-            -(2.0 ** 400), 2.0 ** 401, 3e300, -3e300, 1e-30, 1e30]
+_F32_MAX = float(np.finfo(np.float32).max)
+# Entries on the edges of the kernels' input domain (signed zeros, the
+# smallest subnormal and normal float32, the largest float32, the largest
+# clip sum 2^160) and far from 1.
+_SPECIAL = [0.0, -0.0, 2.0 ** -149, -(2.0 ** -149), 2.0 ** -126, -(2.0 ** -126),
+            _F32_MAX, -_F32_MAX, 2.0 ** 160, -(2.0 ** 160), 1e-30, 1e30]
 
 
 def _bits(x) -> np.ndarray:
@@ -66,7 +68,7 @@ def _aim_at_midpoints(t: np.ndarray, s: np.ndarray, scales) -> None:
         up = np.nextafter(near, np.float32(np.inf))
         mid = (Fraction(float(near)) + Fraction(float(up))) / 2
         last = float((mid * scale - head) / Fraction(pivot))
-        if abs(last) < 1e30:
+        if last == 0 or 2.0 ** -149 <= abs(last) < 1e30:  # in the input domain
             s[i, -1] = last
 
 
@@ -133,8 +135,11 @@ class TestDefinition:
 
     @pytest.mark.parametrize("t, s, bits", [
         ([[-1.0, 0.0]], [[0.0, 1.0]], 0), ([[-0.0, -0.0]], [[1.0, 2.0]], 0),
-        ([[2.0, -3.0]], [[3.0, 2.0]], 0), ([[1e300, 1e300]], [[1e300, -1e300]], 0),
-        ([[1e-300, -1e-300]], [[1e-300, 1e-300]], 0),
+        ([[2.0, -3.0]], [[3.0, 2.0]], 0),
+        ([[2.0 ** 160, 2.0 ** 160]], [[2.0 ** 160, -(2.0 ** 160)]], 0),
+        ([[_F32_MAX, -_F32_MAX]], [[_F32_MAX, _F32_MAX]], 0),
+        ([[2.0 ** -149, -(2.0 ** -149)]], [[2.0 ** -149, 2.0 ** -149]], 0),
+        ([[2.0 ** -126, 2.0 ** -149]], [[2.0 ** -149, -(2.0 ** -126)]], 0),
         # max pooling: clip dots -1e-60 and an exact zero give +0.0 ...
         ([[1e-30, 0.0], [0.0, 1.0]], [[-1e-30, 0.0]], 0),
         # ... and clip dots -1e-60 and -2e-60 alone give -0.0
@@ -161,8 +166,10 @@ class TestDefinition:
         offsets = np.array([0, 1], dtype=np.intp)
         assert kernels.max_score_block(t, offsets, s, offsets)[0, 0] == want
 
-    def test_a_dot_that_rounds_to_zero_keeps_its_sign(self):
-        t, s = np.array([[1e-300]]), np.array([[-1e-300]])
+    @pytest.mark.parametrize("x, y", [(2.0 ** -149, -(2.0 ** -149)), (-(2.0 ** -126), 2.0 ** -149),
+                                      (2.0 ** -126, -(2.0 ** -126))])
+    def test_a_dot_that_rounds_to_zero_keeps_its_sign(self, x, y):
+        t, s = np.array([[x]]), np.array([[y]])
         one = np.array([1], dtype=np.intp)
         assert _bits(kernels.mean_score_block(t, one, s, one)).tolist() == [[0x80000000]]
 
@@ -276,3 +283,60 @@ class TestGoldenMatrix:
         report = json.loads((tmp_path / "matrix.bin.run.json").read_text())
         assert report["summary"]["exact_dots"] >= 12  # the midpoint pairs
         assert hashlib.sha256(data).hexdigest() == _GOLDEN_MATRIX_SHA256[pooling]
+
+
+def _edge_clips(rng, n: int) -> dict[str, np.ndarray]:
+    """n videos of 1-3 float32 clips (d = 8) at the input domain's edges:
+    +-2^-149, +-2^-126, exact zeros and +-2^60 among float32 normals scaled
+    by 2^-140 to 2^60, so no score overflows. Video 0 is all zeros and
+    video 1's clips cancel, so their sums are exactly zero."""
+    palette = np.array([0.0, 2.0 ** -149, -(2.0 ** -149), 2.0 ** -126, -(2.0 ** -126),
+                        2.0 ** 60, -(2.0 ** 60)], dtype=np.float32)
+    videos = {}
+    for v in range(n):
+        shape = (int(rng.integers(1, 4)), 8)
+        scaled = rng.standard_normal(shape) * 2.0 ** rng.integers(-140, 61, size=shape)
+        clips = np.where(rng.random(shape) < 0.5, rng.choice(palette, size=shape),
+                         scaled).astype(np.float32)
+        if v == 0:
+            clips[:] = 0
+        elif v == 1:
+            clips = np.concatenate([clips[:1], -clips[:1]])
+        videos[f"v{v:02d}"] = clips
+    return videos
+
+
+class TestDomainEdges:
+    """Clips at the edges of the kernels' input domain, ingested and scored
+    through the CLI: every stored sum is in the domain, and every score
+    equals the Fraction oracle under any tiling."""
+
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
+    @pytest.mark.parametrize("tile", [[], ["--threads", "2", "--tile-cols", "3"]])
+    def test_scores_at_the_edges_are_their_definition(self, tmp_path, pooling, tile):
+        rng = np.random.default_rng(149)
+        clips = {}
+        for role, n in [("source", 12), ("target", 4)]:
+            clips[role] = _edge_clips(rng, n)
+            np.savez(tmp_path / f"{role}.npz", **clips[role])
+            assert main(["ingest", "--input", str(tmp_path / f"{role}.npz"), "--role", role,
+                         "--out", str(tmp_path / role)]) == 0
+        manifests = {role: tmp_path / role / f"{role}.manifest.jsonl" for role in clips}
+        for role, manifest in manifests.items():
+            sums, _ = CorpusHandle.open(manifest, role).load_sums(0, len(clips[role]))
+            mag = np.abs(sums)
+            assert ((mag == 0) | ((mag >= 2.0 ** -149) & (mag <= 2.0 ** 160))).all()
+            assert (mag[:2] == 0).all()
+        out = tmp_path / "matrix.bin"
+        assert main(["similarity", "--mode", "matrix", "--pooling", pooling, *tile,
+                     "--source-manifest", str(manifests["source"]),
+                     "--target-manifest", str(manifests["target"]), "--out", str(out)]) == 0
+        matrix = load_matrix(out)
+        assert np.isfinite(matrix).all()
+        for j, t_clips in enumerate(clips["target"].values()):
+            t = t_clips.astype(np.float64)
+            for i, s_clips in enumerate(clips["source"].values()):
+                s = s_clips.astype(np.float64)
+                want = (fraction_max_score(t, s) if pooling == "max" else
+                        fraction_mean_score(t.sum(axis=0), len(t), s.sum(axis=0), len(s)))
+                assert _bits(matrix[j, i]) == _bits(want), (j, i)

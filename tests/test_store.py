@@ -546,8 +546,8 @@ class TestSumCorruption:
     """Open checks every v2 shard's footer and index: a corrupt one, or a
     sums block cut short, is a FormatError naming the shard, raised at open.
     A handle whose rows are not bound to the index sums its records and
-    raises what load_video raises; a non-finite stored sum is a FormatError
-    naming its shard."""
+    raises what load_video raises; a stored sum that is not finite or is
+    above 2^160 in magnitude is a FormatError naming its shard."""
 
     def _corpus(self, rng, tmp_path):
         videos = random_videos(rng, "v", 10, 3, 4)
@@ -555,7 +555,8 @@ class TestSumCorruption:
         return videos, tmp_path / "c.manifest.jsonl", sorted(tmp_path.glob("*.shard"))[1]
 
     @pytest.mark.parametrize("kind", ["cut-sums", "cut-index", "footer-past-end",
-                                      "index-past-end", "swapped-entries", "nan", "inf"])
+                                      "index-past-end", "swapped-entries", "nan", "inf",
+                                      "huge"])
     def test_corrupt_shard_is_a_format_error_naming_it(self, rng, tmp_path, kind):
         videos, manifest, bad = self._corpus(rng, tmp_path)
         data = bytearray(bad.read_bytes())
@@ -577,10 +578,10 @@ class TestSumCorruption:
         elif kind == "index-past-end":
             data[-16:-8] = struct.pack("<Q", 2 ** 64 - 1)
         else:
-            value = float("nan") if kind == "nan" else float("-inf")
+            value = {"nan": float("nan"), "inf": float("-inf"), "huge": 1e300}[kind]
             data[sums_at + 8 * (4 * 2 + 1):sums_at + 8 * (4 * 2 + 2)] = struct.pack("<d", value)
         bad.write_bytes(bytes(data))
-        if kind in ("nan", "inf"):
+        if kind in ("nan", "inf", "huge"):
             handle = CorpusHandle.open(manifest, "source")
             for v in videos:  # the records are intact
                 assert handle.load_video(v.video_id).values.tobytes() == v.values.tobytes()
@@ -588,8 +589,9 @@ class TestSumCorruption:
             for args in [(0, 10), (np.array([3, 7]),)]:
                 with pytest.raises(FormatError) as got:
                     handle.load_sums(*args)
+                what = "is above 2^160 in magnitude" if kind == "huge" else "is not finite"
                 assert str(got.value) == (f"shard {bad.name!r}: the stored clip sum of "
-                                          "video 'v00007' is not finite")
+                                          f"video 'v00007' {what}")
         else:
             with pytest.raises(FormatError, match=re.escape(repr(bad.name))):
                 CorpusHandle.open(manifest, "source")
