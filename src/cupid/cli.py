@@ -244,11 +244,25 @@ def _exact_dots(since: int) -> int:
     return count
 
 
+def _threads_used(since: dict[int, int]) -> int:
+    """The most threads any tile run used since similarity.tile_runs() read
+    `since`; 1 if none ran."""
+    return max((threads for threads, runs in similarity.tile_runs().items()
+                if runs > since.get(threads, 0)), default=1)
+
+
 def cmd_similarity(args) -> dict:
-    exact_since = kernels.exact_dot_count()
+    exact_since, runs_since = kernels.exact_dot_count(), similarity.tile_runs()
+    tile = _tile_config(args)
+    if args.mode == "topk" and args.topk is None:
+        raise UsageError("--topk is required with --mode topk")
+    # a flag the mode would ignore is refused, not dropped
+    for flag, value, mode in (("--topk", args.topk, "topk"),
+                              ("--max-dense-bytes", args.max_dense_bytes, "matrix")):
+        if value is not None and args.mode != mode:
+            raise UsageError(f"{flag} applies to --mode {mode} only, not --mode {args.mode}")
     target, source = _open_corpora(args)
     pooling = similarity.PoolingMode.parse(args.pooling)
-    tile = _tile_config(args)
     out = Path(args.out)
     if args.mode == "matrix":
         view = similarity.build_similarity_matrix(target, source, pooling, tile)
@@ -261,8 +275,6 @@ def cmd_similarity(args) -> dict:
             out, lambda p: similarity.write_column_means(ids, means, p))
         summary = {"mode": "col-means", "sources": len(ids)}
     else:
-        if args.topk is None:
-            raise UsageError("--topk is required with --mode topk")
         rows = similarity.stream_row_topk(target, source, pooling, args.topk, tile).rows()
 
         def write_rows(path):
@@ -280,7 +292,8 @@ def cmd_similarity(args) -> dict:
     args._report_path = Path(str(out) + ".run.json")
     summary.update({"pooling": pooling.value, "backend": kernels.backend_name(),
                     "bytes_read": _bytes_read(target, source),
-                    "exact_dots": _exact_dots(exact_since)})
+                    "exact_dots": _exact_dots(exact_since),
+                    "threads_used": _threads_used(runs_since)})
     return summary
 
 
@@ -309,7 +322,7 @@ def _heuristic_rules(args) -> curation.HeuristicRules:
 
 
 def cmd_curate(args) -> dict:
-    exact_since = kernels.exact_dot_count()
+    exact_since, runs_since = kernels.exact_dot_count(), similarity.tile_runs()
     strategy = args.strategy.replace("-", "_")
     inputs = []
     if strategy == "heuristic":
@@ -367,6 +380,7 @@ def cmd_curate(args) -> dict:
         summary["scored"] = scored
         summary["bytes_read"] = _bytes_read(target, source)
         summary["exact_dots"] = _exact_dots(exact_since)
+        summary["threads_used"] = _threads_used(runs_since)
     if strategy == "knn":
         summary.update(knn)
     return summary
@@ -498,7 +512,9 @@ def cmd_stats(args) -> dict:
 
 def _add_tile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
-                   help="worker thread cap (results are identical for any value)")
+                   help="most threads that score tiles, the calling thread among "
+                        "them; each takes 10^9 kernel multiply-adds of work (results "
+                        "are identical for any value)")
     p.add_argument("--tile-cols", type=int, default=None,
                    help="source videos per score block (default 4096)")
 
@@ -532,9 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     _add_tile_flags(p)
     p.add_argument("--max-dense-bytes", type=int, default=None,
-                   help="memory budget for materialized matrices")
+                   help="memory budget of --mode matrix (refused with other modes)")
     p.add_argument("--mode", required=True, choices=["matrix", "col-means", "topk"])
-    p.add_argument("--topk", type=int, default=None, help="k for --mode topk")
+    p.add_argument("--topk", type=int, default=None,
+                   help="k of --mode topk (required there, refused with other modes)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_similarity)
 
@@ -684,7 +701,7 @@ def main_entry() -> None:
     """Run main() on the command line and end the process with its code.
 
     When main() returns, its outputs are published and every file, shard
-    descriptor and worker thread it used is closed or joined, so the
+    descriptor and helper thread it used is closed or joined, so the
     process ends with os._exit once the log handlers and the standard
     streams are flushed: the interpreter's teardown (module cleanup, the
     final collection) would change nothing a caller can see. A stream that

@@ -15,7 +15,7 @@ count, summation order or layout moves a bit of it. Every consumer (dense
 matrix, column means, per-row top-k) sees those same float32 values, and
 ordered reductions over them are performed in target index order.
 Consequently dense and streaming paths agree bit-for-bit and results are
-independent of tile geometry and worker count.
+independent of tile geometry and thread count.
 
 All three consumers take their float32 blocks from one helper,
 _score_blocks: one P x tile_cols block per source tile. stream_row_topk
@@ -88,9 +88,9 @@ from __future__ import annotations
 
 import enum
 import json
+import logging
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -108,6 +108,15 @@ _MATRIX_HEADER = struct.Struct("<4sHII")
 # The smallest positive float32 (a subnormal): twice its largest rounding error.
 _F32_TINY = 2.0 ** -149
 _RANKS = 2 ** 31  # source ids a top-k key can rank
+# Kernel multiply-adds per thread of a tile run: a run of less work than
+# twice this stays on the calling thread. In fresh CLI processes on 2 cores,
+# a second thread slowed mean pooling runs of 0.64-1.9G multiply-adds and
+# sped up runs of 2.6G (mean) and 2.9G (max pooling).
+_GRAIN = 1_000_000_000
+
+log = logging.getLogger(__name__)
+_runs_lock = threading.Lock()
+_runs: dict[int, int] = {}  # tile runs per thread count, for tile_runs()
 
 
 class PoolingMode(enum.Enum):
@@ -127,12 +136,14 @@ class TileConfig:
     """Tiling, threading, and memory limits for kernel evaluation.
 
     Each tile of tile_cols source videos is scored against all P targets in
-    one kernel call: a P x tile_cols float32 block per thread, plus the mean
-    kernel's P x kernels._CHUNK float64 temporaries. Under max pooling a
-    thread holds instead the tile's float64 clips and blocks of at most
-    kernels._GRID_BYTES: the max kernel's float32 clip-pair scores and their
-    keys, and the mean kernel's temporaries on them. Tile width and thread
-    count never change results, only peak memory and wall time.
+    one kernel call: a P x tile_cols float32 block per thread in use, plus
+    the mean kernel's P x kernels._CHUNK float64 temporaries. Under max
+    pooling a thread holds instead the tile's float64 clips and blocks of at
+    most kernels._GRID_BYTES: the max kernel's float32 clip-pair scores and
+    their keys, and the mean kernel's temporaries on them. threads is a cap:
+    a run over the tiles uses one thread per _GRAIN kernel multiply-adds,
+    the calling thread among them. Tile width and thread count never change
+    results, only peak memory and wall time.
     max_dense_bytes caps build_similarity_matrix.
     """
 
@@ -178,23 +189,65 @@ def _clip_sum(video: ClipMatrix) -> np.ndarray:
                               np.array([count], dtype=np.intp))
 
 
-def _each_tile(n: int, tile: TileConfig, work: Callable[[int, int], None]) -> None:
-    """Call work(lo, hi) for each tile [lo, hi) of range(n), on tile.threads
-    threads. The tiles are near-equal, none wider than tile.tile_cols, and
-    as few as that allows with their count a multiple of the thread count
-    (or n, if that is smaller), so that the threads get equal shares."""
+def tile_runs() -> dict[int, int]:
+    """How many tile runs of this process used each thread count (a copy)."""
+    with _runs_lock:
+        return dict(_runs)
+
+
+def _each_tile(n: int, tile: TileConfig, work: Callable[[int, int], None],
+               madds: int) -> None:
+    """Call work(lo, hi) for each tile [lo, hi) of range(n), madds being the
+    kernel multiply-adds of the whole run.
+
+    The run uses one thread per whole _GRAIN of multiply-adds, at least the
+    calling thread and at most tile.threads: a helper thread with less work
+    does not pay for its start and its malloc arena. The tiles are
+    near-equal, none wider than tile.tile_cols, and as few as that allows
+    with their count a multiple of the threads used (or n, if that is
+    smaller), so that the threads get equal shares. Each thread takes the
+    next tile in order until none is left or a tile has failed; the error of
+    the first failing tile in order is raised once every helper has ended.
+    """
+    used = max(1, min(tile.threads, n, madds // _GRAIN if _GRAIN else n))
     count = -(-n // tile.tile_cols)
-    count = min(-(-count // tile.threads) * tile.threads, n)
+    count = min(-(-count // used) * used, n)
     bounds = [k * n // count for k in range(count + 1)] if count else []
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    if tile.threads <= 1 or len(spans) <= 1:
-        for lo, hi in spans:
-            work(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=tile.threads) as pool:
-        futures = [pool.submit(work, lo, hi) for lo, hi in spans]
-        for fut in futures:
-            fut.result()
+    spans = enumerate(zip(bounds[:-1], bounds[1:]))
+    lock = threading.Lock()
+    failed: list[tuple[int, BaseException]] = []
+
+    def drain() -> None:
+        while True:
+            with lock:
+                if failed:
+                    return
+                index, span = next(spans, (-1, None))
+            if span is None:
+                return
+            try:
+                work(*span)
+            except BaseException as exc:
+                with lock:
+                    failed.append((index, exc))
+                return
+
+    log.info("tile run: %d tiles, %d threads", count, used)
+    with _runs_lock:
+        _runs[used] = _runs.get(used, 0) + 1
+    helpers: list[threading.Thread] = []
+    try:
+        for k in range(1, used):
+            helper = threading.Thread(target=drain, name=f"cupid-tile-{k}")
+            helper.start()
+            helpers.append(helper)
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        # Tiles start in order, so every tile before a failed one has run.
+        raise min(failed, key=lambda pair: pair[0])[1]
 
 
 def _target_side(target: CorpusHandle, source: CorpusHandle,
@@ -214,8 +267,9 @@ def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: Pool
 
     rows, if given, holds ascending source row indices; the tiles then run
     over positions in rows, and only those sources are read and scored.
-    One kernel call per tile of tile.tile_cols source videos; tiles may run
-    on tile.threads threads. An empty target side (None) makes no call.
+    One kernel call per tile of tile.tile_cols source videos; tiles run on
+    up to tile.threads threads, as their multiply-adds allow (_each_tile).
+    An empty target side (None) makes no call.
     A score that is not finite in float32 is a DataError naming the source.
     """
     if target_side is None:
@@ -234,7 +288,14 @@ def _score_blocks(target_side: tuple | None, source: CorpusHandle, pooling: Pool
                             "is not finite in float32")
         consume(lo, hi, block32)
 
-    _each_tile(source.video_count if rows is None else len(rows), tile, work)
+    n = source.video_count if rows is None else len(rows)
+    t_rows, dim = target_side[0].shape
+    if pooling is PoolingMode.MEAN:
+        s_rows = n
+    else:
+        counts = source.columns.clip_counts
+        s_rows = int((counts if rows is None else counts[rows]).sum())
+    _each_tile(n, tile, work, t_rows * s_rows * dim)
 
 
 def pair_similarity(target: ClipMatrix, source: ClipMatrix,
@@ -298,7 +359,7 @@ def _mean_candidates(target_side: tuple, source: CorpusHandle, tile: TileConfig,
         lower[lo:hi] = np.where(overflow, -np.inf, estimate - bound)
         upper[lo:hi] = np.where(overflow, np.inf, estimate + bound)
 
-    _each_tile(n, tile, work)
+    _each_tile(n, tile, work, n * dim)
     cut = np.partition(lower, n - top)[n - top]
     return np.flatnonzero(upper >= cut)
 

@@ -9,6 +9,7 @@ import resource
 import time
 
 import numpy as np
+import pytest
 
 from cupid import (
     ClipMatrix,
@@ -105,6 +106,7 @@ def test_criterion_1_curation_oracle_equivalence():
           f"instances, 0 mismatches, {elapsed:.1f}s")
 
 
+@pytest.mark.usefixtures("threads_for_any_work")
 def test_criterion_2_streaming_equals_dense_bitwise():
     rng = np.random.default_rng(202)
     shapes = [(1, 100), (2, 50), (5, 2000), (10, 1000), (20, 500), (100, 100),

@@ -420,6 +420,7 @@ class TestExactDots:
     every pair scored (no pruning, k = N), give 5 in each score-based
     command, and max pooling (one clip a video) gives the same."""
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("command", [
         ["curate", "--strategy", "avg-sim", "--capacity", "4"],
         ["curate", "--strategy", "knn", "--capacity", "1"],
@@ -445,6 +446,41 @@ class TestExactDots:
         report = json.loads(Path(f"{out}.run.json").read_text())
         assert report["summary"]["exact_dots"] == 5
         assert "5 dots re-scored exactly" in caplog.text
+
+
+class TestThreadsUsed:
+    """The run report gives the most threads any tile run of the command
+    used: a helper thread starts only for a whole similarity._GRAIN of
+    kernel multiply-adds, so small inputs stay on the calling thread."""
+
+    COMMANDS = [
+        ["curate", "--strategy", "avg-sim", "--capacity", "5"],
+        ["curate", "--strategy", "avg-sim", "--capacity", "5", "--pooling", "max"],
+        ["curate", "--strategy", "knn", "--capacity", "3"],
+        ["similarity", "--mode", "col-means"],
+        ["similarity", "--mode", "topk", "--topk", "2"],
+    ]
+
+    def _summary(self, corpora, tmp_path, command):
+        src, tgt = corpora
+        out = tmp_path / "out"
+        assert main(command + ["--threads", "2", "--tile-cols", "7", "--source-manifest",
+                               str(src), "--target-manifest", str(tgt),
+                               "--out", str(out)]) == 0
+        return json.loads(Path(f"{out}.run.json").read_text())["summary"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_small_corpus_runs_on_one_thread(self, corpora, tmp_path, command, caplog):
+        caplog.set_level("INFO", logger="cupid")
+        assert self._summary(corpora, tmp_path, command)["threads_used"] == 1
+        assert "tile run: 5 tiles, 1 threads" in caplog.text
+
+    @pytest.mark.usefixtures("threads_for_any_work")
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_any_work_takes_the_thread_cap(self, corpora, tmp_path, command, caplog):
+        caplog.set_level("INFO", logger="cupid")
+        assert self._summary(corpora, tmp_path, command)["threads_used"] == 2
+        assert "tile run: 6 tiles, 2 threads" in caplog.text
 
 
 # Runs a cupid command and prints its RSS after its imports and its peak
@@ -1124,6 +1160,7 @@ class TestGoldenTopk:
     """Top-k and KNN artifacts with tied and signed-zero scores are pinned
     byte for byte, whatever the numpy version, tiles or threads."""
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("pooling", ["mean", "max"])
     @pytest.mark.parametrize("tile", [[], ["--threads", "2", "--tile-cols", "5"]])
     def test_golden_bytes(self, tmp_path, pooling, tile):
@@ -1159,6 +1196,7 @@ class TestShardVersions:
         "matrix": ["similarity", "--mode", "matrix"],
     }
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize("pooling", ["mean", "max"])
     def test_v1_and_v2_shards_give_the_same_bytes(self, tmp_path, command, pooling):
@@ -1294,6 +1332,34 @@ class TestUsageErrors:
                      "--out", str(out)]) == 2
         assert _single_error(capsys) == {"error": "argument",
                                          "message": "max_dense_bytes must be >= 0"}
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("mode,flag,value,message", [
+        ("col-means", "topk", 2, "--topk applies to --mode topk only, not --mode col-means"),
+        ("matrix", "topk", 2, "--topk applies to --mode topk only, not --mode matrix"),
+        ("topk", "max_dense_bytes", 5,
+         "--max-dense-bytes applies to --mode matrix only, not --mode topk"),
+        ("col-means", "max_dense_bytes", 5,
+         "--max-dense-bytes applies to --mode matrix only, not --mode col-means"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_similarity_refuses_a_flag_its_mode_ignores(self, corpora, tmp_path, capsys,
+                                                        mode, flag, value, message, source):
+        src, tgt = corpora
+        out = tmp_path / "out" / "scores"
+        out.parent.mkdir()
+        argv = ["similarity", "--mode", mode, "--source-manifest", str(src),
+                "--target-manifest", str(tgt), "--out", str(out)]
+        if mode == "topk":
+            argv += ["--topk", "2"]
+        if source == "flag":
+            argv += [f"--{flag.replace('_', '-')}", str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: value}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert _single_error(capsys) == {"error": "usage", "message": message}
         assert list(out.parent.iterdir()) == []
 
     def test_curate_has_no_max_dense_bytes(self, corpora, tmp_path, capsys):

@@ -259,6 +259,7 @@ class TestGoldenMatrix:
     """similarity --mode matrix bytes at d = 64 on float32 midpoints are
     pinned on every CI leg, and equal the Fraction oracle."""
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("pooling", ["mean", "max"])
     @pytest.mark.parametrize("tile", [[], ["--threads", "2", "--tile-cols", "3"]])
     def test_golden_bytes(self, tmp_path, pooling, tile):
@@ -311,6 +312,7 @@ class TestDomainEdges:
     through the CLI: every stored sum is in the domain, and every score
     equals the Fraction oracle under any tiling."""
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("pooling", ["mean", "max"])
     @pytest.mark.parametrize("tile", [[], ["--threads", "2", "--tile-cols", "3"]])
     def test_scores_at_the_edges_are_their_definition(self, tmp_path, pooling, tile):

@@ -1,6 +1,7 @@
 """Pair scoring, dense kernel builds, and streaming reducers."""
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cupid.kernels as kernels
+from cupid import similarity
 from cupid import (
     ArgumentError,
     CapacityError,
@@ -166,6 +168,7 @@ class TestDenseMatrix:
                                         source.load_video(sid), pooling)
                 assert view.matrix[j, i] == np.float32(score)
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("pooling", POOLINGS)
     def test_tiling_and_threads_do_not_change_bits(self, rng, pooling):
         target = random_corpus(rng, "t", "target", 5, 3, 6)
@@ -211,6 +214,7 @@ class TestColumnMeans:
         assert ids == ["s0", "s1"]
         assert means.tolist() == [0.5, 0.5]
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("pooling", POOLINGS)
     def test_equals_dense_derivation_bitwise(self, rng, pooling):
         target = random_corpus(rng, "t", "target", 6, 4, 5)
@@ -358,6 +362,7 @@ class TestPrunedColumnMeans:
         source = random_corpus(rng, "s", "source", 200, 4, 8)
         assert _assert_pruned_matches_full(target, source, 10) == 10
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     def test_many_threads_on_one_tile_each_keep_the_bits(self, rng):
         # Eight threads write the bounds of one-video tiles into shared arrays.
         target = random_corpus(rng, "t", "target", 4, 3, 8)
@@ -389,6 +394,7 @@ class TestPrunedColumnMeans:
         assert ids == full[0] and means.tobytes() == full[1].tobytes()
 
 
+@pytest.mark.usefixtures("threads_for_any_work")
 class TestNonFiniteScores:
     """A pair score that overflows float32 is a DataError naming the first
     such source in source order, in every consumer and for any tiles and
@@ -411,6 +417,91 @@ class TestNonFiniteScores:
                 with pytest.raises(DataError, match="^source video 's4': a pair score is "
                                                     "not finite in float32$"):
                     run()
+
+
+class TestTileThreads:
+    """_each_tile runs the tiles on the calling thread, and on helper
+    threads only for a whole _GRAIN of multiply-adds per thread."""
+
+    def test_small_work_stays_on_the_calling_thread(self):
+        spans, runners = [], set()
+        before = threading.active_count()
+
+        def work(lo, hi):
+            spans.append((lo, hi))
+            runners.add(threading.get_ident())
+            assert threading.active_count() == before
+
+        similarity._each_tile(10, TileConfig(tile_cols=4, threads=8), work,
+                              2 * similarity._GRAIN - 1)
+        # one thread: as few tiles as tile_cols allows, not a multiple of eight
+        assert spans == [(0, 3), (3, 6), (6, 10)]
+        assert runners == {threading.get_ident()}
+
+    def test_no_tile_starts_after_one_has_failed(self):
+        started = []
+
+        def work(lo, hi):
+            started.append(lo)
+            if lo == 2:
+                raise DataError(f"tile {lo}")
+
+        with pytest.raises(DataError, match="^tile 2$"):
+            similarity._each_tile(8, TileConfig(tile_cols=1), work, 0)
+        assert started == [0, 1, 2]
+
+    @staticmethod
+    def _two_tiles_at_once(fail, started):
+        """Run 8 one-video tiles on two threads, appending each tile's lo to
+        started. Tiles 0 and 1 wait for each other, so they run at once on
+        different threads, then call fail(lo, caller), caller telling
+        whether the calling thread runs lo."""
+        together = threading.Barrier(2, timeout=10)
+        caller = threading.get_ident()
+
+        def work(lo, hi):
+            started.append(lo)
+            if lo < 2:
+                together.wait()
+                fail(lo, threading.get_ident() == caller)
+
+        before = threading.active_count()
+        try:
+            similarity._each_tile(8, TileConfig(tile_cols=1, threads=2), work, 0)
+        finally:
+            assert threading.active_count() == before
+
+    @pytest.mark.usefixtures("threads_for_any_work")
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_a_failing_tile_raises_whatever_thread_ran_it(self, failing):
+        ran = {}
+
+        def fail(lo, caller):
+            ran[caller] = lo
+            if caller == (failing == "caller"):
+                raise DataError(f"tile {lo}")
+
+        with pytest.raises(DataError) as raised:
+            self._two_tiles_at_once(fail, [])
+        assert str(raised.value) == f"tile {ran[failing == 'caller']}"
+
+    @pytest.mark.usefixtures("threads_for_any_work")
+    @pytest.mark.parametrize("first_to_fail", [0, 1])
+    def test_the_first_failing_tile_in_order_is_raised(self, first_to_fail):
+        # Both tiles fail, in either order in time: tile 0's error is raised,
+        # and neither thread starts another tile.
+        failed = threading.Event()
+
+        def fail(lo, caller):
+            if lo != first_to_fail:
+                assert failed.wait(10)
+            failed.set()
+            raise DataError(f"tile {lo}")
+
+        started = []
+        with pytest.raises(DataError, match="^tile 0$"):
+            self._two_tiles_at_once(fail, started)
+        assert sorted(started) == [0, 1]
 
 
 class TestRowTopk:
@@ -443,6 +534,7 @@ class TestRowTopk:
         rows = stream_row_topk(target, source, PoolingMode.MEAN, 1).rows()
         assert rows[0][0][0] == "s-a"
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("pooling", POOLINGS)
     def test_equals_dense_derivation(self, rng, pooling):
         target = random_corpus(rng, "t", "target", 5, 3, 6)
@@ -510,6 +602,7 @@ def _reducer_topk(view, k):
 class TestTopkTieOrder:
     """Ties must go to the smaller source id, wherever that id is stored."""
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("pooling", POOLINGS)
     def test_ties_break_by_id_not_column(self, rng, pooling):
         n = 40
@@ -534,6 +627,7 @@ class TestTopkTieOrder:
                     assert stream_row_topk(target, source, pooling, k, tile).rows() == want, \
                         (k, tile_cols, threads)
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     def test_concurrent_merges_lose_nothing(self, rng):
         # More workers than cores and frequent thread switches: a merge that
         # raced with another would drop or duplicate kept entries.
@@ -575,6 +669,7 @@ class TestTopkSignedZeros:
         for k in range(1, 6):
             assert _hex_rows(_reducer_topk(view, k)) == [want[0][:k]]
 
+    @pytest.mark.usefixtures("threads_for_any_work")
     @pytest.mark.parametrize("pooling", POOLINGS)
     def test_streamed_signed_zeros_match_dense(self, rng, pooling):
         tiny = np.float32(1e-30)  # a product of two such clips underflows to +-0.0
