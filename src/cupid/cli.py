@@ -9,6 +9,10 @@ only the run report's timing fields vary.
 
 Options may also come from a JSON file via --config; explicit flags win.
 The CUPID_LOG environment variable sets the log level (DEBUG, INFO, ...).
+
+A command imports the library modules it runs when it runs, and calls them
+through their module attributes (``similarity.f(...)``), so a wrapper
+installed on a module is called.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, curation, kernels, nce, probe, similarity, store
+from . import __version__
 from .errors import ArgumentError, CupidError, FormatError, UsageError
 
 log = logging.getLogger("cupid")
@@ -130,6 +134,8 @@ def _publish_single(out: Path, write_fn) -> list[Path]:
 
 
 def _tile_config(args) -> similarity.TileConfig:
+    from . import similarity
+
     kwargs = {key: getattr(args, key, None)
               for key in ("tile_cols", "threads", "max_dense_bytes")}
     return similarity.TileConfig(**{k: v for k, v in kwargs.items() if v is not None})
@@ -138,6 +144,8 @@ def _tile_config(args) -> similarity.TileConfig:
 def _open_corpus(args, path: Path, role: str) -> store.CorpusHandle:
     """Open the corpus at path; the run report cites the manifest digest
     open took."""
+    from . import store
+
     handle = store.CorpusHandle.open(path, role)
     args._digests[str(path)] = handle.manifest_sha256
     return handle
@@ -192,12 +200,16 @@ def _load_embedding_inputs(input_path: Path) -> list[store.ClipMatrix]:
 
 
 def _as_clip_matrix(video_id: str, arr: np.ndarray) -> store.ClipMatrix:
+    from . import store
+
     if arr.ndim == 1:
         arr = arr[None, :]
     return store.ClipMatrix(video_id, arr)
 
 
 def cmd_ingest(args) -> dict:
+    from . import store
+
     input_path = _require_exists(args.input, "--input")
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()):
@@ -239,6 +251,8 @@ def cmd_ingest(args) -> dict:
 def _exact_dots(since: int) -> int:
     """Dots the kernels' certificates have sent to the exact path since
     kernels.exact_dot_count() read `since`; logged at INFO."""
+    from . import kernels
+
     count = kernels.exact_dot_count() - since
     log.info("%d dots re-scored exactly", count)
     return count
@@ -247,11 +261,15 @@ def _exact_dots(since: int) -> int:
 def _threads_used(since: dict[int, int]) -> int:
     """The most threads any tile run used since similarity.tile_runs() read
     `since`; 1 if none ran."""
+    from . import similarity
+
     return max((threads for threads, runs in similarity.tile_runs().items()
                 if runs > since.get(threads, 0)), default=1)
 
 
 def cmd_similarity(args) -> dict:
+    from . import kernels, similarity
+
     exact_since, runs_since = kernels.exact_dot_count(), similarity.tile_runs()
     tile = _tile_config(args)
     if args.mode == "topk" and args.topk is None:
@@ -298,10 +316,14 @@ def cmd_similarity(args) -> dict:
 
 
 def _read_id_file(path: Path) -> set[str]:
+    from . import store
+
     return set(store.read_lines(path, "id", str))
 
 
 def _heuristic_rules(args) -> curation.HeuristicRules:
+    from . import curation
+
     if not args.allowed_categories:
         raise UsageError("heuristic curation requires --allowed-categories")
     vocab: set[str] = set()
@@ -322,6 +344,8 @@ def _heuristic_rules(args) -> curation.HeuristicRules:
 
 
 def cmd_curate(args) -> dict:
+    from . import curation, kernels, similarity, store
+
     exact_since, runs_since = kernels.exact_dot_count(), similarity.tile_runs()
     strategy = args.strategy.replace("-", "_")
     inputs = []
@@ -387,6 +411,8 @@ def cmd_curate(args) -> dict:
 
 
 def cmd_schedule(args) -> dict:
+    from . import curation
+
     manifest_path = _require_exists(args.manifest, "--manifest")
     ranked = curation.read_curation_manifest(manifest_path)
     try:
@@ -423,6 +449,8 @@ def cmd_schedule(args) -> dict:
 
 
 def cmd_probe(args) -> dict:
+    from . import probe
+
     queries_path = _require_exists(args.queries, "--queries")
     candidates_path = _require_exists(args.candidates, "--candidates")
     gt_path = _require_exists(args.ground_truth, "--ground-truth")
@@ -436,6 +464,8 @@ def cmd_probe(args) -> dict:
         ks = [int(k) for k in args.ks.split(",") if k.strip()]
     except ValueError:
         raise UsageError(f"--ks must be comma-separated integers, got {args.ks!r}")
+    if not ks:
+        raise UsageError(f"--ks must list one or more recall cutoffs, got {args.ks!r}")
     ranks = probe.rank_queries(queries, candidates, ground_truth)
     result = probe.summarize(ranks, ks)
     out = Path(args.out)
@@ -447,6 +477,8 @@ def cmd_probe(args) -> dict:
 
 
 def cmd_nce_check(args) -> dict:
+    from . import nce
+
     if args.batch < 1:
         raise UsageError("--batch must be >= 1")
     if args.trials < 1:

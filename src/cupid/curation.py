@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._record import FrozenRecord, Record, set_field
 from .errors import ArgumentError, CapacityError, DataError, FormatError
 from .similarity import PoolingMode, RowTopK, _id_rank
 from .store import VideoMeta, int_field, json_object, number_field, read_lines, str_field
@@ -26,21 +26,22 @@ from .store import VideoMeta, int_field, json_object, number_field, read_lines, 
 STRATEGIES = ("avg_sim", "knn", "heuristic")
 
 
-@dataclass(frozen=True)
-class CurationConfig:
-    capacity_c: int
-    strategy: str
-    expansion_factor: float = 3.0
-    seed: int = 0
-    pooling: PoolingMode = PoolingMode.MEAN
+class CurationConfig(FrozenRecord):
+    __slots__ = ("capacity_c", "strategy", "expansion_factor", "seed", "pooling")
 
-    def __post_init__(self):
-        if self.capacity_c < 1:
+    def __init__(self, capacity_c: int, strategy: str, expansion_factor: float = 3.0,
+                 seed: int = 0, pooling: PoolingMode = PoolingMode.MEAN):
+        if capacity_c < 1:
             raise ArgumentError("capacity must be >= 1")
-        if self.strategy not in STRATEGIES:
+        if strategy not in STRATEGIES:
             raise ArgumentError(f"strategy must be one of {STRATEGIES}")
-        if self.strategy == "knn" and not 2.0 <= self.expansion_factor <= 4.0:
+        if strategy == "knn" and not 2.0 <= expansion_factor <= 4.0:
             raise ArgumentError("expansion_factor must lie in [2, 4]")
+        set_field(self, "capacity_c", capacity_c)
+        set_field(self, "strategy", strategy)
+        set_field(self, "expansion_factor", expansion_factor)
+        set_field(self, "seed", seed)
+        set_field(self, "pooling", pooling)
 
     def as_dict(self) -> dict:
         return {
@@ -52,33 +53,37 @@ class CurationConfig:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class CurationEntry:
-    rank: int
-    video_id: str
-    score: float | None
+class CurationEntry(FrozenRecord):
+    __slots__ = ("rank", "video_id", "score")
+
+    def __init__(self, rank: int, video_id: str, score: float | None):
+        set_field(self, "rank", rank)
+        set_field(self, "video_id", video_id)
+        set_field(self, "score", score)
 
 
-@dataclass
-class CurationManifest:
+class CurationManifest(Record):
     """Ordered curation result: contiguous 1-based ranks, unique ids.
 
     k_reached is the KNN pool's depth (knn_candidate_pool) for a manifest
-    curate_knn made, else None; it is not written with the manifest."""
+    curate_knn made, else None; it is not written with the manifest, and
+    equality leaves it out."""
 
-    strategy: str
-    entries: list[CurationEntry]
-    config_echo: dict = field(default_factory=dict)
-    excluded_count: int = 0
-    k_reached: int | None = field(default=None, compare=False)
+    __slots__ = ("strategy", "entries", "config_echo", "excluded_count", "k_reached")
+    _uncompared = ("k_reached",)
 
-    def __post_init__(self):
-        ids = [e.video_id for e in self.entries]
+    def __init__(self, strategy: str, entries: list[CurationEntry],
+                 config_echo: dict | None = None, excluded_count: int = 0,
+                 k_reached: int | None = None):
+        ids = [e.video_id for e in entries]
         if len(set(ids)) != len(ids):
             raise DataError("curation manifest has duplicate video ids")
-        for i, e in enumerate(self.entries, 1):
+        for i, e in enumerate(entries, 1):
             if e.rank != i:
                 raise DataError(f"manifest ranks not contiguous at position {i}")
+        self.strategy, self.entries = strategy, entries
+        self.config_echo = {} if config_echo is None else config_echo
+        self.excluded_count, self.k_reached = excluded_count, k_reached
 
     def video_ids(self) -> list[str]:
         return [e.video_id for e in self.entries]
@@ -187,26 +192,22 @@ def curate_knn(row_topk: Callable[[int], RowTopK], n_sources: int, c: int,
     return CurationManifest("knn", entries, echo, k_reached=k_reached)
 
 
-@dataclass(frozen=True)
-class HeuristicRules:
+class HeuristicRules(FrozenRecord):
     """Metadata predicates: category whitelist, title-vocabulary overlap,
     and optionally human-authored subtitles."""
 
-    allowed_categories: frozenset[str]
-    target_vocabulary: frozenset[str]
-    require_human_subtitles: bool = False
-    cap: int | None = None
+    __slots__ = ("allowed_categories", "target_vocabulary", "require_human_subtitles", "cap")
 
-    def __post_init__(self):
-        if not self.allowed_categories:
+    def __init__(self, allowed_categories: frozenset[str], target_vocabulary: frozenset[str],
+                 require_human_subtitles: bool = False, cap: int | None = None):
+        if not allowed_categories:
             raise ArgumentError("allowed_categories must be non-empty")
-        object.__setattr__(self, "allowed_categories", frozenset(self.allowed_categories))
-        object.__setattr__(
-            self, "target_vocabulary",
-            frozenset(w.lower() for w in self.target_vocabulary),
-        )
-        if self.cap is not None and self.cap < 0:
+        set_field(self, "allowed_categories", frozenset(allowed_categories))
+        set_field(self, "target_vocabulary", frozenset(w.lower() for w in target_vocabulary))
+        if cap is not None and cap < 0:
             raise ArgumentError("cap must be >= 0")
+        set_field(self, "require_human_subtitles", require_human_subtitles)
+        set_field(self, "cap", cap)
 
     def as_dict(self) -> dict:
         return {
@@ -259,15 +260,19 @@ def exclude_overlap(manifest: CurationManifest, downstream_ids: set[str]) -> Cur
                             manifest.excluded_count + removed)
 
 
-@dataclass(frozen=True)
-class ScheduleStage:
-    manifest: CurationManifest
-    steps: int
+class ScheduleStage(FrozenRecord):
+    __slots__ = ("manifest", "steps")
+
+    def __init__(self, manifest: CurationManifest, steps: int):
+        set_field(self, "manifest", manifest)
+        set_field(self, "steps", steps)
 
 
-@dataclass
-class StagedSchedule:
-    stages: list[ScheduleStage]
+class StagedSchedule(Record):
+    __slots__ = ("stages",)
+
+    def __init__(self, stages: list[ScheduleStage]):
+        self.stages = stages
 
     def total_steps(self) -> int:
         return sum(s.steps for s in self.stages)

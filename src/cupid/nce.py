@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import ArgumentError, DataError
 
 
@@ -31,20 +31,18 @@ class NegativeMode(enum.Enum):
     N_SQUARED = "n_squared"
 
 
-@dataclass
-class ScoreGrid:
+class ScoreGrid(Record):
     """B x B pairwise scores plus the positive-pair mask (diagonal always true)."""
 
-    scores: np.ndarray
-    positive_mask: np.ndarray
+    __slots__ = ("scores", "positive_mask")
 
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
+    def __init__(self, scores: np.ndarray, positive_mask: np.ndarray):
+        scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2 or scores.shape[0] != scores.shape[1] or scores.shape[0] < 1:
             raise DataError("scores must be a square B x B matrix with B >= 1")
         if not np.isfinite(scores).all():
             raise DataError("scores must be finite")
-        mask = np.asarray(self.positive_mask, dtype=bool)
+        mask = np.asarray(positive_mask, dtype=bool)
         if mask.shape != scores.shape:
             raise DataError("positive_mask shape must match scores")
         if not mask.diagonal().all():

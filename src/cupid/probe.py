@@ -7,20 +7,20 @@ resolve optimistically. Reported as recall@k plus the lower median rank.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import ArgumentError, DataError, SchemaError
 
 
-@dataclass
-class RetrievalResult:
-    ranks: list[int]
-    recall_at: dict[int, float]
-    median_rank: int
+class RetrievalResult(Record):
+    __slots__ = ("ranks", "recall_at", "median_rank")
+
+    def __init__(self, ranks: list[int], recall_at: dict[int, float], median_rank: int):
+        self.ranks, self.recall_at, self.median_rank = ranks, recall_at, median_rank
 
 
 def rank_queries(query_embs: np.ndarray, candidate_embs: np.ndarray,

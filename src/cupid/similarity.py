@@ -91,13 +91,13 @@ import json
 import logging
 import struct
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import kernels
+from ._record import FrozenRecord, Record, set_field
 from .errors import ArgumentError, CapacityError, DataError, SchemaError
 from .kernels import _count_down
 from .store import ClipMatrix, CorpusHandle, _segment_clip_sums
@@ -131,8 +131,7 @@ class PoolingMode(enum.Enum):
             raise ArgumentError(f"unknown pooling mode {name!r} (expected mean or max)") from None
 
 
-@dataclass(frozen=True)
-class TileConfig:
+class TileConfig(FrozenRecord):
     """Tiling, threading, and memory limits for kernel evaluation.
 
     Each tile of tile_cols source videos is scored against all P targets in
@@ -147,29 +146,31 @@ class TileConfig:
     max_dense_bytes caps build_similarity_matrix.
     """
 
-    tile_cols: int = 4096
-    threads: int = 1
-    max_dense_bytes: int = 2 * 1024 ** 3
+    __slots__ = ("tile_cols", "threads", "max_dense_bytes")
 
-    def __post_init__(self):
-        if self.tile_cols < 1:
+    def __init__(self, tile_cols: int = 4096, threads: int = 1,
+                 max_dense_bytes: int = 2 * 1024 ** 3):
+        if tile_cols < 1:
             raise ArgumentError("tile_cols must be >= 1")
-        if self.threads < 1:
+        if threads < 1:
             raise ArgumentError("threads must be >= 1")
-        if self.max_dense_bytes < 0:
+        if max_dense_bytes < 0:
             raise ArgumentError("max_dense_bytes must be >= 0")
+        set_field(self, "tile_cols", tile_cols)
+        set_field(self, "threads", threads)
+        set_field(self, "max_dense_bytes", max_dense_bytes)
 
 
 DEFAULT_TILE = TileConfig()
 
 
-@dataclass
-class SimilarityView:
+class SimilarityView(Record):
     """Materialized target x source score matrix (float32, row-major)."""
 
-    target_ids: list[str]
-    source_ids: list[str]
-    matrix: np.ndarray
+    __slots__ = ("target_ids", "source_ids", "matrix")
+
+    def __init__(self, target_ids: list[str], source_ids: list[str], matrix: np.ndarray):
+        self.target_ids, self.source_ids, self.matrix = target_ids, source_ids, matrix
 
 
 def _prepare_side(corpus: CorpusHandle, span: tuple, pooling: PoolingMode) -> tuple:
@@ -412,7 +413,6 @@ def _id_rank(ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-@dataclass(frozen=True, eq=False)
 class RowTopK:
     """Per-row top k of a P x N score matrix, as arrays.
 
@@ -421,9 +421,10 @@ class RowTopK:
     with ties broken by ascending source id.
     """
 
-    source_ids: Sequence[str]
-    cols: np.ndarray
-    scores: np.ndarray
+    __slots__ = ("source_ids", "cols", "scores")
+
+    def __init__(self, source_ids: Sequence[str], cols: np.ndarray, scores: np.ndarray):
+        self.source_ids, self.cols, self.scores = source_ids, cols, scores
 
     def rows(self) -> list[list[tuple[str, float]]]:
         """Each row as a list of (source_id, score) pairs."""

@@ -101,7 +101,6 @@ import os
 import struct
 import threading
 import weakref
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Sequence, TypeVar
@@ -109,6 +108,7 @@ from typing import BinaryIO, Callable, Iterable, Sequence, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._record import FrozenRecord, set_field
 from .errors import (ArgumentError, CupidError, DataError, FormatError, NotFoundError,
                      SchemaError)
 
@@ -143,23 +143,21 @@ ROLES = ("source", "target")
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class ClipMatrix:
+class ClipMatrix(FrozenRecord):
     """Stack of clip embeddings for one video, row-major (clip, dim) float32."""
 
-    video_id: str
-    values: np.ndarray
+    __slots__ = ("video_id", "values")
 
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float32)
+    def __init__(self, video_id: str, values: np.ndarray):
+        arr = np.ascontiguousarray(values, dtype=np.float32)
         if arr.ndim != 2 or arr.shape[1] < 1:
-            raise SchemaError(
-                f"video {self.video_id!r}: expected a 2-D clip matrix with dim >= 1")
-        object.__setattr__(self, "values", arr)
+            raise SchemaError(f"video {video_id!r}: expected a 2-D clip matrix with dim >= 1")
         if arr.shape[0] < 1:
-            raise DataError(f"video {self.video_id!r} has zero clips")
+            raise DataError(f"video {video_id!r} has zero clips")
         if not np.isfinite(arr).all():
-            raise DataError(f"video {self.video_id!r} contains non-finite values")
+            raise DataError(f"video {video_id!r} contains non-finite values")
+        set_field(self, "video_id", video_id)
+        set_field(self, "values", arr)
 
     @property
     def clip_count(self) -> int:
@@ -170,40 +168,42 @@ class ClipMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, slots=True)
-class ManifestEntry:
-    video_id: str
-    shard: str
-    offset: int
-    clip_count: int
+class ManifestEntry(FrozenRecord):
+    __slots__ = ("video_id", "shard", "offset", "clip_count")
+
+    def __init__(self, video_id: str, shard: str, offset: int, clip_count: int):
+        set_field(self, "video_id", video_id)
+        set_field(self, "shard", shard)
+        set_field(self, "offset", offset)
+        set_field(self, "clip_count", clip_count)
 
 
-@dataclass(frozen=True)
-class VideoMeta:
-    video_id: str
-    category: str
-    title: str
-    subtitle_source: str
-    duration_s: float
+class VideoMeta(FrozenRecord):
+    __slots__ = ("video_id", "category", "title", "subtitle_source", "duration_s")
 
-    def __post_init__(self):
-        if self.subtitle_source not in SUBTITLE_SOURCES:
+    def __init__(self, video_id: str, category: str, title: str, subtitle_source: str,
+                 duration_s: float):
+        if subtitle_source not in SUBTITLE_SOURCES:
             raise DataError(
-                f"video {self.video_id!r}: subtitle_source must be one of {SUBTITLE_SOURCES}"
-            )
-        if self.duration_s < 0:
-            raise DataError(f"video {self.video_id!r}: negative duration")
+                f"video {video_id!r}: subtitle_source must be one of {SUBTITLE_SOURCES}")
+        if duration_s < 0:
+            raise DataError(f"video {video_id!r}: negative duration")
+        set_field(self, "video_id", video_id)
+        set_field(self, "category", category)
+        set_field(self, "title", title)
+        set_field(self, "subtitle_source", subtitle_source)
+        set_field(self, "duration_s", duration_s)
 
 
-@dataclass(frozen=True)
-class Subtitle:
-    text: str
-    start_s: float
-    end_s: float
+class Subtitle(FrozenRecord):
+    __slots__ = ("text", "start_s", "end_s")
 
-    def __post_init__(self):
-        if self.start_s > self.end_s:
-            raise DataError(f"subtitle spans negative time range ({self.start_s} > {self.end_s})")
+    def __init__(self, text: str, start_s: float, end_s: float):
+        if start_s > end_s:
+            raise DataError(f"subtitle spans negative time range ({start_s} > {end_s})")
+        set_field(self, "text", text)
+        set_field(self, "start_s", start_s)
+        set_field(self, "end_s", end_s)
 
 
 def write_shard(videos: Sequence[ClipMatrix], dim: int | None = None) -> bytes:
@@ -468,20 +468,19 @@ def read_shard_header(buf, shard_name: str) -> tuple[int, int, int]:
     return version, dim, video_count
 
 
-@dataclass(frozen=True, eq=False)
 class _SumIndex:
     """The index of a v2 shard: row i is the record at offsets[i] with
-    counts[i] clips and the i-th id of ids, the ids' UTF-8 bytes one after
-    another, id_lens[i] bytes long (int64 columns, offsets ascending); its
-    sum is the dim float64 values at byte sums_at + i * dim * 8. sha256 is
-    the hex SHA-256 of the index bytes, as the digest sidecar records it."""
+    counts[i] clips and the i-th id of ids (uint8), the ids' UTF-8 bytes one
+    after another, id_lens[i] bytes long (int64 columns, offsets ascending);
+    its sum is the dim float64 values at byte sums_at + i * dim * 8. sha256
+    is the hex SHA-256 of the index bytes, as the digest sidecar records it."""
 
-    offsets: np.ndarray
-    counts: np.ndarray
-    id_lens: np.ndarray
-    ids: np.ndarray         # uint8
-    sums_at: int
-    sha256: str
+    __slots__ = ("offsets", "counts", "id_lens", "ids", "sums_at", "sha256")
+
+    def __init__(self, offsets: np.ndarray, counts: np.ndarray, id_lens: np.ndarray,
+                 ids: np.ndarray, sums_at: int, sha256: str):
+        self.offsets, self.counts, self.id_lens, self.ids = offsets, counts, id_lens, ids
+        self.sums_at, self.sha256 = sums_at, sha256
 
     @classmethod
     def read(cls, shard: _Shard) -> tuple[int, "_SumIndex | None", int]:
@@ -519,14 +518,16 @@ class _SumIndex:
         return dim, cls(offsets, counts, id_lens, ids, sums_at, digest), n_bytes
 
 
-@dataclass
 class _Tile:
-    """One contiguous run of source or target videos, decoded for scoring."""
+    """One contiguous run of source or target videos, decoded for scoring:
+    ids, counts (intp, n), offsets (intp, n + 1) into clips (float32,
+    total clips x dim)."""
 
-    ids: list[str]
-    counts: np.ndarray      # intp (n,)
-    offsets: np.ndarray     # intp (n+1,) into clips
-    clips: np.ndarray       # float32 (total_clips, dim)
+    __slots__ = ("ids", "counts", "offsets", "clips")
+
+    def __init__(self, ids: list[str], counts: np.ndarray, offsets: np.ndarray,
+                 clips: np.ndarray):
+        self.ids, self.counts, self.offsets, self.clips = ids, counts, offsets, clips
 
 
 def _int_column(values) -> np.ndarray:
@@ -547,20 +548,17 @@ def _shard_codes(names: Sequence[str], table: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, names), dtype=np.intp, count=len(names))
 
 
-@dataclass(frozen=True, eq=False)
 class ManifestColumns:
     """A manifest as columns: row i is (ids[i], shards[codes[i]], offsets[i],
     clip_counts[i]). The arrays are read-only; see _int_column."""
 
-    ids: list[str]
-    shards: list[str]
-    codes: np.ndarray
-    offsets: np.ndarray
-    clip_counts: np.ndarray
+    __slots__ = ("ids", "shards", "codes", "offsets", "clip_counts")
 
-    def __post_init__(self):
-        for name in ("codes", "offsets", "clip_counts"):
-            object.__setattr__(self, name, _int_column(getattr(self, name)))
+    def __init__(self, ids: list[str], shards: list[str], codes, offsets, clip_counts):
+        self.ids, self.shards = ids, shards
+        self.codes = _int_column(codes)
+        self.offsets = _int_column(offsets)
+        self.clip_counts = _int_column(clip_counts)
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[str, str, int, int]]) -> "ManifestColumns":

@@ -3,7 +3,6 @@
 The oracles deliberately take the slow path (explicit pairwise dot products
 in float64) so they stay independent of the kernel implementations.
 """
-import dataclasses
 import hashlib
 import io
 import json
@@ -284,12 +283,22 @@ def _write_json_lines(objs, path):
 
 def write_manifest(entries, path):
     """One json.dumps line per ManifestEntry, keys in field order."""
-    _write_json_lines(map(dataclasses.asdict, entries), path)
+    _write_json_lines(({"video_id": e.video_id, "shard": e.shard, "offset": e.offset,
+                        "clip_count": e.clip_count} for e in entries), path)
 
 
 def write_metadata(metas, path):
     """One json.dumps line per VideoMeta, keys in field order."""
-    _write_json_lines(map(dataclasses.asdict, metas), path)
+    _write_json_lines(({"video_id": m.video_id, "category": m.category, "title": m.title,
+                        "subtitle_source": m.subtitle_source, "duration_s": m.duration_s}
+                       for m in metas), path)
+
+
+def replace(record, **changes):
+    """A copy of a record with the given fields changed, made through its
+    constructor (as dataclasses.replace did), so its checks run again."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def write_subtitles(groups, path):

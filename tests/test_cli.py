@@ -664,6 +664,20 @@ class TestProbe:
         assert report["query_count"] == 4
         assert report["candidate_count"] == 4
 
+    @pytest.mark.parametrize("ks", ["", " ", ",", " , "])
+    def test_no_recall_cutoff_is_a_usage_error(self, tmp_path, capsys, ks):
+        np.save(tmp_path / "q.npy", np.eye(2, dtype=np.float32))
+        (tmp_path / "gt.json").write_text("[0, 1]")
+        before = sorted(tmp_path.iterdir())
+        assert main(["probe", "--queries", str(tmp_path / "q.npy"),
+                     "--candidates", str(tmp_path / "q.npy"),
+                     "--ground-truth", str(tmp_path / "gt.json"), "--ks", ks,
+                     "--out", str(tmp_path / "report.json")]) == 2
+        assert _single_error(capsys) == {
+            "error": "usage",
+            "message": f"--ks must list one or more recall cutoffs, got {ks!r}"}
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("flag,side", [("--queries", "query"),
                                            ("--candidates", "candidate")])

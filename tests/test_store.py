@@ -7,7 +7,6 @@ import os
 import re
 import struct
 import warnings
-from dataclasses import replace
 from itertools import groupby, zip_longest
 from operator import itemgetter
 
@@ -41,7 +40,8 @@ from cupid.similarity import PoolingMode, stream_column_means
 
 from helpers import (build_corpus_reference, corpus_files, load_videos, random_videos,
                      read_column_means, read_manifest_lines, read_schedule, read_subtitles,
-                     write_manifest, write_metadata, write_shard_reference, write_subtitles)
+                     replace, write_manifest, write_metadata, write_shard_reference,
+                     write_subtitles)
 
 
 def _reload(videos, expected_dim):

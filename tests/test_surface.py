@@ -3,7 +3,8 @@
 Every module-level function and class of src/cupid, and every method of
 such a class (dunders aside), must be referenced by name in src/cupid
 (where its definition is no reference), in a non-test perfbench module, or
-be exported in cupid.__all__. Code that only the tests use lives in
+be exported in cupid.__all__. The module hooks of PEP 562, which the
+interpreter calls, are exempt. Code that only the tests use lives in
 tests/helpers.py.
 """
 import ast
@@ -19,6 +20,8 @@ BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.starts
 # of its interface: the random-access read of one video by id (README's
 # File formats section) and the in-memory constructor.
 API_METHODS = {"CorpusHandle.load_video", "CorpusHandle.from_arrays"}
+# A module's __getattr__ and __dir__ (PEP 562): attribute access and dir() call them.
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def _definitions():
@@ -26,7 +29,8 @@ def _definitions():
     module.Class.method of each non-dunder method."""
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name in MODULE_HOOKS):
                 continue
             yield f"{path.stem}.{node.name}"
             if isinstance(node, ast.ClassDef):
